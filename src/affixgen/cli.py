@@ -359,9 +359,10 @@ def cmd_ttest(args: argparse.Namespace) -> int:
 
 
 def cmd_tune_thresholds(args: argparse.Namespace) -> int:
+    # Tuning always runs ag; set it before --emit-config writes the file.
+    args.mode = "ag"
     cfg = effective_config(args)
     _require(cfg, "qrels")
-    cfg.mode = "ag"
     taus = [float(v) for v in args.tau_grid.split(",") if v.strip()]
     len_grids = [g.strip() for g in args.min_len_grid.split(";") if g.strip()]
     if not taus or not len_grids:

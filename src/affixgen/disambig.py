@@ -25,7 +25,6 @@ from .corpus import CollectionIndex, CooccurrenceTable
 from .morphgen import (
     FormationCandidate,
     FormationGenerator,
-    NoiseFilterConfig,
     context_filter,
     ngram_split,
     stem_hook,

@@ -14,21 +14,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .corpus import CooccurrenceTable, PosLexicon, as_tagger
 from .rules import (
     BEGIN,
-    DELETE,
     END,
     INSERT,
-    MIDDLE,
     Action,
+    CharSignatures,
     MedConfig,
     RuleTable,
     TransformationRule,
-    banded_distance,
-    extract_rule,
+    _band,
+    _traceback,
     format_actions,
     parse_actions,
 )
@@ -104,8 +101,11 @@ class NoiseFilterConfig:
 class FormationGenerator:
     """Reusable generator over a fixed vocabulary and rule table.
 
-    The vocabulary signature matrix is built once, so per-word generation
-    costs one vectorized filter pass plus banded alignments for survivors.
+    The vocabulary's character-count prefilter, the one rule mining uses, is
+    built once. Per-word generation then costs one vectorized filter pass
+    plus one banded alignment per survivor, which gives both the unit-cost
+    distance the length floor reads and the rule; the rule is traced only
+    for candidates that clear the floor.
     """
 
     def __init__(
@@ -124,14 +124,7 @@ class FormationGenerator:
             if k not in self.cfg.min_len:
                 raise ValueError(f"min_len missing an entry for distance {k}")
         self.words = sorted(set(vocab))
-        alphabet = sorted({c for word in self.words for c in word})
-        self._char_index = {c: i for i, c in enumerate(alphabet)}
-        self._sig = np.zeros(
-            (len(self.words), max(len(alphabet), 1)), dtype=np.int16
-        )
-        for row, word in enumerate(self.words):
-            for c in word:
-                self._sig[row, self._char_index[c]] += 1
+        self._signatures = CharSignatures(self.words)
 
     def generate(self, w: str, pos_tag: str | None = None) -> list[FormationCandidate]:
         """Likelihood- and length-filtered formations of ``w`` from the vocabulary."""
@@ -139,26 +132,18 @@ class FormationGenerator:
             return []
         tag = pos_tag if pos_tag is not None else self.tagger(w)
         k = self.med.k_max
-        vec = np.zeros(self._sig.shape[1], dtype=np.int16)
-        unknown = 0
-        for c in w:
-            idx = self._char_index.get(c)
-            if idx is None:
-                unknown += 1
-            else:
-                vec[idx] += 1
-        l1 = np.abs(self._sig - vec).sum(axis=1) + unknown
         out = []
-        for row in np.nonzero(l1 <= k)[0]:
+        for row in self._signatures.within(w, k):
             surface = self.words[int(row)]
             if surface == w:
                 continue
-            d = banded_distance(w, surface, k)
-            if d is None or d < 1:
+            band = _band(w, surface, k)
+            if band is None:
                 continue
+            d, rows = band
             if len(surface) < self.cfg.min_len[d]:
                 continue
-            rule = extract_rule(w, surface, tag, self.med)
+            rule = TransformationRule(_traceback(w, surface, rows, k), tag)
             prob = self.rules.prob(rule)
             if prob < self.cfg.rule_prob_threshold:
                 continue

@@ -3,8 +3,14 @@
 A rule is the ordered list of single-character edit actions that turns one
 word into another along a minimum-cost alignment that allows insertions and
 deletions but no substitutions, together with the part-of-speech tag of the
-source word. Under unit costs this distance equals
-``len(w) + len(w2) - 2 * lcs(w, w2)``.
+source word. Insertions and deletions cost one each, always, so this
+distance equals ``len(w) + len(w2) - 2 * lcs(w, w2)``.
+
+One banded alignment (Ukkonen's cutoff: only cells within ``k`` of the
+diagonal are filled) gives both the distance and, by tracing back over its
+rows, the rule. One character-count prefilter (``CharSignatures``) narrows
+the vocabulary to the words that can lie within ``k`` before any alignment
+runs; rule mining and formation generation share both.
 
 Each action records its operation, the character involved, and a coarse
 position. Positions are assigned while walking the alignment left to right:
@@ -20,9 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,100 +61,84 @@ class TransformationRule:
 
 @dataclass(frozen=True)
 class MedConfig:
-    """Edit-distance settings.
+    """Edit-distance settings: the largest distance ``k_max`` a rule may span.
 
-    Substitutions are never allowed; ``cost_substitute`` is kept only to make
-    that explicit. Unit insertion and deletion costs are required by the
-    banded pruning used during mining.
+    Insertions and deletions cost one each and substitutions are not
+    allowed; neither is configurable.
     """
 
-    cost_insert: int = 1
-    cost_delete: int = 1
-    cost_substitute: float = math.inf
     k_max: int = 3
 
     def __post_init__(self) -> None:
-        if self.cost_insert <= 0 or self.cost_delete <= 0:
-            raise ValueError("edit costs must be positive")
-        if self.cost_substitute <= self.cost_insert + self.cost_delete:
-            raise ValueError("substitution must cost more than insert plus delete")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
 
-    @property
-    def unit_costs(self) -> bool:
-        return self.cost_insert == 1 and self.cost_delete == 1
 
+def _band(w: str, w2: str, k: int) -> tuple[int, list[list[int]]] | None:
+    """Indel distance and alignment rows if the distance is at most ``k``.
 
-def indel_distance(w: str, w2: str, config: MedConfig | None = None) -> int:
-    """Minimum edit distance using insertions and deletions only."""
-    ci = config.cost_insert if config else 1
-    cd = config.cost_delete if config else 1
-    n, m = len(w), len(w2)
-    if n == 0 or m == 0:
-        return m * ci + n * cd
-    prev = [j * ci for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [i * cd] + [0] * m
-        wc = w[i - 1]
-        for j in range(1, m + 1):
-            best = min(prev[j] + cd, cur[j - 1] + ci)
-            if wc == w2[j - 1] and prev[j - 1] < best:
-                best = prev[j - 1]
-            cur[j] = best
-        prev = cur
-    return prev[m]
-
-
-def extract_rule(
-    w: str,
-    w2: str,
-    pos_tag: str = UNKNOWN_TAG,
-    config: MedConfig | None = None,
-) -> TransformationRule:
-    """Extract the canonical transformation rule turning ``w`` into ``w2``.
-
-    The full alignment table is built, then a single optimal path is chosen
-    by walking back from the terminal cell preferring matches, then
-    deletions from the source, then insertions. Actions are emitted in
-    left-to-right alignment order.
+    Row ``i`` holds cell ``(i, j)`` at index ``j - i + k``; only cells within
+    ``k`` of the diagonal are filled, and a cell whose distance exceeds ``k``
+    reads ``k + 1``. Every cell on an optimal path of cost ``d <= k`` is
+    therefore exact. The scan stops as soon as a whole row exceeds ``k``.
     """
-    ci = config.cost_insert if config else 1
-    cd = config.cost_delete if config else 1
     n, m = len(w), len(w2)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        dist[0][j] = j * ci
+    if abs(n - m) > k:
+        return None
+    cap = k + 1
+    width = 2 * k + 1
+    prev = [cap] * width
+    for j in range(min(m, k) + 1):
+        prev[j + k] = j
+    rows = [prev]
     for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        row[0] = i * cd
+        cur = [cap] * width
         wc = w[i - 1]
-        for j in range(1, m + 1):
-            best = min(prev[j] + cd, row[j - 1] + ci)
-            if wc == w2[j - 1] and prev[j - 1] < best:
-                best = prev[j - 1]
-            row[j] = best
-    return TransformationRule(_traceback(w, w2, dist, ci, cd), pos_tag)
+        lo = max(0, i - k)
+        hi = min(m, i + k)
+        row_min = cap
+        for j in range(lo, hi + 1):
+            d = j - i + k
+            if j == 0:
+                c = i if i < cap else cap
+            else:
+                c = prev[d + 1] + 1 if d + 1 < width else cap
+                if d >= 1 and cur[d - 1] + 1 < c:
+                    c = cur[d - 1] + 1
+                if wc == w2[j - 1] and prev[d] < c:
+                    c = prev[d]
+                if c > cap:
+                    c = cap
+            cur[d] = c
+            if c < row_min:
+                row_min = c
+        if row_min >= cap:
+            return None
+        rows.append(cur)
+        prev = cur
+    final = prev[m - n + k]
+    return (final, rows) if final <= k else None
 
 
-def _traceback(
-    w: str, w2: str, dist: list[list[int]], ci: int, cd: int
-) -> tuple[Action, ...]:
-    n, m = len(w), len(w2)
+def _traceback(w: str, w2: str, rows: list[list[int]], k: int) -> tuple[Action, ...]:
+    """The canonical actions turning ``w`` into ``w2``, read off ``_band`` rows.
+
+    Walking back from the terminal cell, a match is preferred, then a
+    deletion from the source, then an insertion; a deletion from the band's
+    last diagonal (``j - i == k``) would leave the band and is never taken.
+    Actions are emitted in left-to-right alignment order.
+    """
+    n = len(w)
     moves: list[str] = []
-    i, j = n, m
+    i, j = n, len(w2)
     while i > 0 or j > 0:
-        if (
-            i > 0
-            and j > 0
-            and w[i - 1] == w2[j - 1]
-            and dist[i - 1][j - 1] == dist[i][j]
-        ):
+        d = j - i + k
+        here = rows[i][d]
+        if i > 0 and j > 0 and w[i - 1] == w2[j - 1] and rows[i - 1][d] == here:
             moves.append("match")
             i -= 1
             j -= 1
-        elif i > 0 and dist[i - 1][j] + cd == dist[i][j]:
+        elif i > 0 and d < 2 * k and rows[i - 1][d + 1] + 1 == here:
             moves.append("delete")
             i -= 1
         else:
@@ -185,6 +175,24 @@ def _traceback(
     return tuple(actions)
 
 
+def banded_distance(w: str, w2: str, k: int) -> int | None:
+    """Indel distance if it does not exceed ``k``, else None."""
+    band = _band(w, w2, k)
+    return band[0] if band is not None else None
+
+
+def indel_distance(w: str, w2: str) -> int:
+    """Minimum edit distance using insertions and deletions only."""
+    return banded_distance(w, w2, len(w) + len(w2))
+
+
+def extract_rule(w: str, w2: str, pos_tag: str = UNKNOWN_TAG) -> TransformationRule:
+    """Extract the canonical transformation rule turning ``w`` into ``w2``."""
+    k = len(w) + len(w2)
+    _, rows = _band(w, w2, k)
+    return TransformationRule(_traceback(w, w2, rows, k), pos_tag)
+
+
 def invert_rule(rule: TransformationRule, pos_tag: str | None = None) -> TransformationRule:
     """Undo a rule: swap insert and delete and reverse the action order.
 
@@ -200,49 +208,37 @@ def invert_rule(rule: TransformationRule, pos_tag: str | None = None) -> Transfo
     return TransformationRule(flipped, rule.pos_tag if pos_tag is None else pos_tag)
 
 
-def banded_distance(w: str, w2: str, k: int) -> int | None:
-    """Indel distance if it does not exceed ``k``, else None.
+class CharSignatures:
+    """Character-count vectors of a word list, for the indel prefilter.
 
-    Only alignment cells within ``k`` of the diagonal are evaluated, and the
-    scan aborts as soon as a whole row exceeds the budget. Unit costs only.
+    The L1 distance between two words' character counts never exceeds their
+    indel distance, so ``within`` keeps every word a distance search needs.
     """
-    n, m = len(w), len(w2)
-    if abs(n - m) > k:
-        return None
-    if n == 0 or m == 0:
-        d = n + m
-        return d if d <= k else None
-    cap = k + 1
-    width = 2 * k + 1
-    prev = [cap] * width
-    for j in range(min(m, k) + 1):
-        prev[j + k] = j
-    for i in range(1, n + 1):
-        cur = [cap] * width
-        wc = w[i - 1]
-        lo = max(0, i - k)
-        hi = min(m, i + k)
-        row_min = cap
-        for j in range(lo, hi + 1):
-            d = j - i + k
-            if j == 0:
-                c = i if i < cap else cap
+
+    def __init__(self, words: Sequence[str]) -> None:
+        alphabet = sorted({c for word in words for c in word})
+        char_index = {c: i for i, c in enumerate(alphabet)}
+        sig = np.zeros((len(words), max(len(alphabet), 1)), dtype=np.int16)
+        for row, word in enumerate(words):
+            for c in word:
+                sig[row, char_index[c]] += 1
+        self._char_index, self._sig = char_index, sig
+
+    def within(self, w: str, k: int, start: int = 0) -> np.ndarray:
+        """Rows from ``start`` on whose counts lie within L1 distance ``k`` of ``w``.
+
+        Characters of ``w`` outside the word list's alphabet count one each.
+        """
+        vec = np.zeros(self._sig.shape[1], dtype=np.int16)
+        unknown = 0
+        for c in w:
+            idx = self._char_index.get(c)
+            if idx is None:
+                unknown += 1
             else:
-                c = prev[d + 1] + 1 if d + 1 < width else cap
-                if d >= 1 and cur[d - 1] + 1 < c:
-                    c = cur[d - 1] + 1
-                if wc == w2[j - 1] and prev[d] < c:
-                    c = prev[d]
-                if c > cap:
-                    c = cap
-            cur[d] = c
-            if c < row_min:
-                row_min = c
-        if row_min >= cap:
-            return None
-        prev = cur
-    final = prev[m - n + k]
-    return final if final <= k else None
+                vec[idx] += 1
+        l1 = np.abs(self._sig[start:] - vec).sum(axis=1) + unknown
+        return np.nonzero(l1 <= k)[0] + start
 
 
 @dataclass
@@ -297,13 +293,12 @@ def mine_rules(
 
     Every ordered pair of distinct words whose indel distance lies in
     ``[1, k_max]`` contributes one count to its extracted rule (type
-    frequency). Pairs are pruned with a character-count signature bound
-    before the banded distance check; neither filter can drop a pair the
-    exhaustive scan would keep.
+    frequency). Pairs are pruned with the character-count prefilter, then
+    one banded alignment per pair gives its distance and its forward rule;
+    the reverse rule is read off a second band of that distance's width.
+    Neither filter can drop a pair the exhaustive scan would keep.
     """
     config = config or MedConfig()
-    if not config.unit_costs:
-        raise ValueError("rule mining requires unit insertion and deletion costs")
     words = sorted(set(vocab))
     tagger = as_tagger(pos)
     k = config.k_max
@@ -311,25 +306,17 @@ def mine_rules(
     if len(words) < 2 or k < 1:
         return RuleTable.empty(k)
 
-    alphabet = sorted({c for word in words for c in word})
-    char_index = {c: i for i, c in enumerate(alphabet)}
-    sig = np.zeros((len(words), max(len(alphabet), 1)), dtype=np.int16)
-    for row, word in enumerate(words):
-        for c in word:
-            sig[row, char_index[c]] += 1
-
-    for row in range(len(words) - 1):
-        # L1 distance between character-count signatures lower-bounds the
-        # indel distance, so this keeps every pair within k.
-        l1 = np.abs(sig[row + 1 :] - sig[row]).sum(axis=1)
-        for offset in np.nonzero(l1 <= k)[0]:
-            a = words[row]
-            b = words[row + 1 + int(offset)]
-            d = banded_distance(a, b, k)
-            if d is None or d < 1:
+    signatures = CharSignatures(words)
+    for row, a in enumerate(words[:-1]):
+        for other in signatures.within(a, k, start=row + 1):
+            b = words[int(other)]
+            band = _band(a, b, k)
+            if band is None:
                 continue
-            counts[extract_rule(a, b, tagger(a), config)] += 1
-            counts[extract_rule(b, a, tagger(b), config)] += 1
+            d, rows = band
+            counts[TransformationRule(_traceback(a, b, rows, k), tagger(a))] += 1
+            _, back = _band(b, a, d)
+            counts[TransformationRule(_traceback(b, a, back, d), tagger(b))] += 1
 
     if not counts:
         return RuleTable.empty(k)

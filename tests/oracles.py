@@ -19,12 +19,11 @@ from affixgen.rules import (
     Action,
     TransformationRule,
     extract_rule,
-    indel_distance,
 )
 
 
-def lcs_len(a: str, b: str) -> int:
-    """Classic longest-common-subsequence table, no shortcuts."""
+def _lcs_table(a: str, b: str) -> list[list[int]]:
+    """Classic longest-common-subsequence table over all prefix pairs."""
     n, m = len(a), len(b)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -33,7 +32,75 @@ def lcs_len(a: str, b: str) -> int:
                 table[i][j] = table[i - 1][j - 1] + 1
             else:
                 table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[n][m]
+    return table
+
+
+def lcs_len(a: str, b: str) -> int:
+    """Length of the longest common subsequence, read off the full table."""
+    return _lcs_table(a, b)[len(a)][len(b)]
+
+
+def indel_distance_lcs(a: str, b: str) -> int:
+    """Insert/delete distance through the LCS identity, not through a DP of it."""
+    return len(a) + len(b) - 2 * lcs_len(a, b)
+
+
+def _delete_pos(i: int, j: int, n: int) -> str:
+    # Deleting w[i] from the partially transformed string w2[:j] + w[i:].
+    if j == 0:
+        return BEGIN
+    if i == n - 1:
+        return END
+    return MIDDLE
+
+
+def _insert_pos(i: int, j: int, n: int) -> str:
+    # Inserting w2[j] into the partially transformed string w2[:j] + w[i:].
+    if i == n:
+        return END
+    if j == 0:
+        return BEGIN
+    return MIDDLE
+
+
+def canonical_action_list(w: str, w2: str) -> tuple[Action, ...]:
+    """The one optimal alignment ``extract_rule`` promises, from the definition.
+
+    The distance of every prefix pair is ``i + j - 2 * lcs(w[:i], w2[:j])``.
+    Walking back from ``(n, m)``, a match is taken when the characters agree
+    and the distance does not change, else a deletion from ``w`` when it
+    costs exactly one, else an insertion. The moves are then tagged left to
+    right against the partially transformed string.
+    """
+    n, m = len(w), len(w2)
+    lcs = _lcs_table(w, w2)
+
+    def dist(i: int, j: int) -> int:
+        return i + j - 2 * lcs[i][j]
+
+    moves: list[str] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and w[i - 1] == w2[j - 1] and dist(i - 1, j - 1) == dist(i, j):
+            moves.append("match")
+            i, j = i - 1, j - 1
+        elif i > 0 and dist(i - 1, j) + 1 == dist(i, j):
+            moves.append("delete")
+            i -= 1
+        else:
+            moves.append("insert")
+            j -= 1
+    actions: list[Action] = []
+    for move in reversed(moves):
+        if move == "match":
+            i, j = i + 1, j + 1
+        elif move == "delete":
+            actions.append(Action(DELETE, _delete_pos(i, j, n), w[i]))
+            i += 1
+        else:
+            actions.append(Action(INSERT, _insert_pos(i, j, n), w2[j]))
+            j += 1
+    return tuple(actions)
 
 
 def all_optimal_action_lists(w: str, w2: str) -> set[tuple[Action, ...]]:
@@ -68,23 +135,11 @@ def all_optimal_action_lists(w: str, w2: str) -> set[tuple[Action, ...]]:
         if i < n and j < m and w[i] == w2[j] and togo[i + 1][j + 1] == togo[i][j]:
             forward(i + 1, j + 1, acc)
         if i < n and togo[i + 1][j] + 1 == togo[i][j]:
-            if j == 0:
-                pos = BEGIN
-            elif i == n - 1:
-                pos = END
-            else:
-                pos = MIDDLE
-            acc.append(Action(DELETE, pos, w[i]))
+            acc.append(Action(DELETE, _delete_pos(i, j, n), w[i]))
             forward(i + 1, j, acc)
             acc.pop()
         if j < m and togo[i][j + 1] + 1 == togo[i][j]:
-            if i == n:
-                pos = END
-            elif j == 0:
-                pos = BEGIN
-            else:
-                pos = MIDDLE
-            acc.append(Action(INSERT, pos, w2[j]))
+            acc.append(Action(INSERT, _insert_pos(i, j, n), w2[j]))
             forward(i, j + 1, acc)
             acc.pop()
 
@@ -96,7 +151,7 @@ def mine_rules_bruteforce(vocab, tagger, k_max: int):
     """Unpruned ordered-pair enumeration; mirrors the published counting.
 
     Uses the library's extract_rule (canonicality is tested separately) but
-    no signature filter, no banding, and the plain quadratic distance.
+    no signature filter, no banding, and the distance from the LCS identity.
     """
     words = sorted(set(vocab))
     counts: Counter[TransformationRule] = Counter()
@@ -104,7 +159,7 @@ def mine_rules_bruteforce(vocab, tagger, k_max: int):
         for b in words:
             if a == b:
                 continue
-            d = indel_distance(a, b)
+            d = indel_distance_lcs(a, b)
             if 1 <= d <= k_max:
                 counts[extract_rule(a, b, tagger(a))] += 1
     total = sum(counts.values())

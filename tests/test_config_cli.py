@@ -280,6 +280,22 @@ class TestCliPipeline:
             out.strip().splitlines()[-1]
         )
 
+    def test_tune_thresholds_emits_the_mode_it_ran(self, pipeline, tmp_path):
+        emitted = tmp_path / "effective.ini"
+        rc = main([
+            "tune-thresholds",
+            "--dictionary", pipeline.paths["dictionary"],
+            "--topics", pipeline.paths["topics"],
+            "--index-dir", pipeline.index_dir,
+            "--rules-file", pipeline.rules_file,
+            "--qrels", pipeline.paths["qrels"],
+            "--tau-grid", "0.01",
+            "--folds", "2",
+            "--emit-config", str(emitted),
+        ])
+        assert rc == 0
+        assert load_config(emitted).mode == "ag"
+
     def test_monolingual_mode_skips_dictionary(self, pipeline, tmp_path):
         q = tmp_path / "q.tsv"
         rc = main([

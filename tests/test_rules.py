@@ -23,7 +23,13 @@ from affixgen.rules import (
     save_rules,
     score_rules,
 )
-from oracles import all_optimal_action_lists, lcs_len, mine_rules_bruteforce
+from oracles import (
+    all_optimal_action_lists,
+    canonical_action_list,
+    indel_distance_lcs,
+    lcs_len,
+    mine_rules_bruteforce,
+)
 
 
 def random_word(rng, alphabet, lo=0, hi=10):
@@ -73,7 +79,7 @@ class TestBandedDistance:
         for _ in range(500):
             a = random_word(rng, "abcde")
             b = random_word(rng, "abcde")
-            d = indel_distance(a, b)
+            d = indel_distance_lcs(a, b)
             for k in range(0, 7):
                 banded = banded_distance(a, b, k)
                 if d <= k:
@@ -121,7 +127,7 @@ class TestExtractRule:
             a = random_word(rng, "abc", 0, 7)
             b = random_word(rng, "abc", 0, 7)
             rule = extract_rule(a, b)
-            assert len(rule.actions) == indel_distance(a, b)
+            assert len(rule.actions) == indel_distance_lcs(a, b)
 
     def test_canonical_path_is_among_all_optimal_paths(self):
         rng = random.Random(5)
@@ -130,6 +136,15 @@ class TestExtractRule:
             b = random_word(rng, "ab", 0, 6)
             rule = extract_rule(a, b)
             assert rule.actions in all_optimal_action_lists(a, b)
+
+    def test_tie_break_matches_reference_traceback(self):
+        # Which optimal alignment is chosen decides which rule is counted.
+        rng = random.Random(17)
+        for alphabet, hi in (("ab", 8), ("abc", 10), ("aäöo", 9), ("ابجد", 7)):
+            for _ in range(5000):
+                a = random_word(rng, alphabet, 0, hi)
+                b = random_word(rng, alphabet, 0, hi)
+                assert extract_rule(a, b).actions == canonical_action_list(a, b), (a, b)
 
     def test_round_trip_random(self):
         rng = random.Random(6)
@@ -217,25 +232,20 @@ class TestMineRules:
         with pytest.raises(ValueError, match="empty"):
             score_rules({}, 3)
 
-    def test_non_unit_costs_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            mine_rules({"ab", "abc"}, config=MedConfig(cost_insert=2, cost_substitute=9))
-
 
 class TestMedConfig:
     def test_defaults(self):
-        cfg = MedConfig()
-        assert cfg.k_max == 3
-        assert cfg.unit_costs
-        assert cfg.cost_substitute > cfg.cost_insert + cfg.cost_delete
+        assert MedConfig().k_max == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MedConfig(cost_insert=0)
-        with pytest.raises(ValueError):
-            MedConfig(cost_substitute=1.5)
-        with pytest.raises(ValueError):
             MedConfig(k_max=-1)
+
+    def test_edit_costs_are_not_settable(self):
+        # Costs are fixed at one, so a weighted cost cannot disagree with
+        # the unit-cost distance that filters candidates.
+        with pytest.raises(TypeError):
+            MedConfig(cost_insert=2)
 
 
 class TestSerialization:
