@@ -370,10 +370,8 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ValueError("tuning needs at least 2 folds")
     qrels = load_qrels(cfg.qrels)
-    topics, dictionary, index, cooc, _, stemmer = _translation_resources(cfg)
+    topics, dictionary, index, cooc, base, stemmer = _translation_resources(cfg)
     cooc = cooc or corpus_mod.load_cooccurrence(cfg.index_dir)
-    rules = load_rules(cfg.rules_file)
-    pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
 
     usable = [(qid, title) for qid, title in topics if qrels.relevant.get(qid)]
     if len(usable) < args.folds:
@@ -387,7 +385,7 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     def run_map(topic_subset, tau: float, min_len: str) -> float:
         variant = replace_noise(cfg, tau, min_len)
         generator = FormationGenerator(
-            index.vocabulary, rules, pos, _noise_config(variant),
+            index.vocabulary, base.rules, base.tagger, _noise_config(variant),
             MedConfig(k_max=cfg.k_max),
         )
         queries = _build_queries(variant, topic_subset, dictionary, index, cooc,

@@ -7,9 +7,10 @@ query terms in target-language co-occurrence statistics, then normalize per
 term. Formations are scored against dictionary candidates only, so unreliable
 formations cannot reinforce each other.
 
-Two association-based methods are provided. The iterative method starts from
-uniform weights and repeatedly adds association mass received from the other
-terms' current weights. The one-shot method scores candidates by summed joint
+Two association-based methods are provided. Both read one edge list, computed
+once per query by the one pass that applies the formation rule. The iterative
+method starts from uniform weights and repeatedly adds association mass from
+the other terms' current weights; the one-shot method sums joint
 probabilities. Baselines (first translation, uniform, collection frequency)
 ignore associations entirely.
 """
@@ -137,19 +138,60 @@ def init_weights(
     sets: Sequence[TranslationCandidateSet],
 ) -> list[TranslationCandidateSet]:
     """Uniform starting weights over each term's candidates and formations."""
-    out = []
     for cs in sets:
         if cs.size == 0:
             raise ValueError(f"term {cs.query_term!r} has no candidates")
-        w = 1.0 / cs.size
-        out.append(
-            replace(
-                cs,
-                dict_weights=[w] * len(cs.dict_candidates),
-                formation_weights=[w] * len(cs.formations),
-            )
-        )
+    return [_normalized(cs, [1.0] * cs.size) for cs in sets]
+
+
+def _edge_lists(
+    sets: Sequence[TranslationCandidateSet], assoc: AssociationModel
+) -> list[list[list[tuple[int, int, float]]]]:
+    """Per term and slot, the nonzero ``(other term, other slot, edge)`` it reads.
+
+    Slots are a term's dictionary candidates, then its formations. Only
+    dictionary candidates read the other terms' formations, so unreliable
+    formations cannot reinforce each other. Lists run in summation order:
+    other terms in turn, dictionary candidates first.
+    """
+    surfaces = [cs.dict_candidates + [f.surface for f in cs.formations] for cs in sets]
+    dict_only = [cs.dict_candidates for cs in sets]
+    edges = []
+    for i, cs in enumerate(sets):
+        rows = []
+        for slot, cand in enumerate(surfaces[i]):
+            targets = surfaces if slot < len(cs.dict_candidates) else dict_only
+            rows.append([
+                (ip, b, edge)
+                for ip, reach in enumerate(targets) if ip != i
+                for b, cand2 in enumerate(reach)
+                if (edge := assoc.edge(cand, cand2))
+            ])
+        edges.append(rows)
+    return edges
+
+
+def _scores(
+    edges, start: list[list[float]], weights: list[list[float]]
+) -> list[list[float]]:
+    """``start + sum(edge * weight)`` per slot, added in edge-list order."""
+    out = []
+    for rows, firsts in zip(edges, start):
+        term = []
+        for row, total in zip(rows, firsts):
+            for ip, b, edge in row:
+                total += edge * weights[ip][b]
+            term.append(total)
+        out.append(term)
     return out
+
+
+def _normalized(cs: TranslationCandidateSet, row: list[float]) -> TranslationCandidateSet:
+    """``cs`` weighted by ``row``, its slots in order, over the row's sum."""
+    n = len(cs.dict_candidates)
+    total = sum(row[:n]) + sum(row[n:])
+    row = [x / total for x in row]
+    return replace(cs, dict_weights=row[:n], formation_weights=row[n:])
 
 
 def itd_step(
@@ -157,36 +199,15 @@ def itd_step(
 ) -> tuple[list[list[float]], list[list[float]]]:
     """One raw additive update, before per-term normalization.
 
-    Dictionary candidates receive association mass from every other term's
-    dictionary candidates and formations. Formations receive mass from other
-    terms' dictionary candidates only.
+    Each candidate keeps its weight and adds, over the edges it reads (see
+    ``_edge_lists``), the edge times the other candidate's weight.
     """
-    raw_dict: list[list[float]] = []
-    raw_form: list[list[float]] = []
-    for i, cs in enumerate(sets):
-        dict_row = []
-        for a, cand in enumerate(cs.dict_candidates):
-            total = cs.dict_weights[a]
-            for ip, other in enumerate(sets):
-                if ip == i:
-                    continue
-                for b, cand2 in enumerate(other.dict_candidates):
-                    total += assoc.edge(cand, cand2) * other.dict_weights[b]
-                for b, form in enumerate(other.formations):
-                    total += assoc.edge(cand, form.surface) * other.formation_weights[b]
-            dict_row.append(total)
-        form_row = []
-        for a, form in enumerate(cs.formations):
-            total = cs.formation_weights[a]
-            for ip, other in enumerate(sets):
-                if ip == i:
-                    continue
-                for b, cand2 in enumerate(other.dict_candidates):
-                    total += assoc.edge(form.surface, cand2) * other.dict_weights[b]
-            form_row.append(total)
-        raw_dict.append(dict_row)
-        raw_form.append(form_row)
-    return raw_dict, raw_form
+    weights = [cs.dict_weights + cs.formation_weights for cs in sets]
+    raw = _scores(_edge_lists(sets, assoc), weights, weights)
+    return (
+        [row[: len(cs.dict_candidates)] for cs, row in zip(sets, raw)],
+        [row[len(cs.dict_candidates) :] for cs, row in zip(sets, raw)],
+    )
 
 
 @dataclass
@@ -205,32 +226,28 @@ def itd_weights(
 ) -> ItdResult:
     """Iterate additive updates with per-term normalization to convergence.
 
-    Convergence is reached when no normalized weight moves by ``eps`` or
-    more between consecutive iterations.
+    The association edges are computed once per query; each iteration is an
+    ``itd_step`` update over them. Convergence is reached when no normalized
+    weight moves by ``eps`` or more between consecutive iterations.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    current = [replace(cs) for cs in sets]
+    edges = _edge_lists(sets, assoc)
+    current = list(sets)
     iterations = 0
     converged = False
     delta = math.inf
     while iterations < max_iters:
-        raw_dict, raw_form = itd_step(current, assoc)
+        weights = [cs.dict_weights + cs.formation_weights for cs in current]
+        raw = _scores(edges, weights, weights)
         iterations += 1
+        current = [_normalized(cs, row) for cs, row in zip(current, raw)]
         delta = 0.0
-        nxt = []
-        for cs, drow, frow in zip(current, raw_dict, raw_form):
-            total = sum(drow) + sum(frow)
-            drow = [x / total for x in drow]
-            frow = [x / total for x in frow]
-            for old, new in zip(cs.dict_weights, drow):
+        for cs, old_row in zip(current, weights):
+            for old, new in zip(old_row, cs.dict_weights + cs.formation_weights):
                 delta = max(delta, abs(new - old))
-            for old, new in zip(cs.formation_weights, frow):
-                delta = max(delta, abs(new - old))
-            nxt.append(replace(cs, dict_weights=drow, formation_weights=frow))
-        current = nxt
         if delta < eps:
             converged = True
             break
@@ -242,45 +259,21 @@ def joint_weights_2g(
 ) -> list[TranslationCandidateSet]:
     """One-shot weighting by summed joint probabilities with other terms.
 
-    A term whose candidates all score zero falls back to uniform weights;
-    single-term queries therefore come out uniform.
+    Candidates sum the same once-per-query edges as ``itd_weights``, with
+    unit weights and no weight of their own. A term whose candidates all
+    score zero falls back to uniform weights; single-term queries therefore
+    come out uniform.
     """
     if assoc.kind != JOINT:
         raise ValueError("joint-probability weighting requires a joint association model")
-    out = []
-    for i, cs in enumerate(sets):
-        if cs.size == 0:
-            raise ValueError(f"term {cs.query_term!r} has no candidates")
-        dict_row = []
-        for cand in cs.dict_candidates:
-            score = 0.0
-            for ip, other in enumerate(sets):
-                if ip == i:
-                    continue
-                for cand2 in other.dict_candidates:
-                    score += assoc.edge(cand, cand2)
-                for form in other.formations:
-                    score += assoc.edge(cand, form.surface)
-            dict_row.append(score)
-        form_row = []
-        for form in cs.formations:
-            score = 0.0
-            for ip, other in enumerate(sets):
-                if ip == i:
-                    continue
-                for cand2 in other.dict_candidates:
-                    score += assoc.edge(form.surface, cand2)
-            form_row.append(score)
-        total = sum(dict_row) + sum(form_row)
-        if total == 0.0:
-            w = 1.0 / cs.size
-            dict_row = [w] * len(cs.dict_candidates)
-            form_row = [w] * len(cs.formations)
-        else:
-            dict_row = [x / total for x in dict_row]
-            form_row = [x / total for x in form_row]
-        out.append(replace(cs, dict_weights=dict_row, formation_weights=form_row))
-    return out
+    uniform = init_weights(sets)
+    zeros = [[0.0] * cs.size for cs in sets]
+    ones = [[1.0] * cs.size for cs in sets]
+    scores = _scores(_edge_lists(sets, assoc), zeros, ones)
+    return [
+        _normalized(cs, row) if any(row) else u
+        for cs, row, u in zip(sets, scores, uniform)
+    ]
 
 
 def baseline_weights(

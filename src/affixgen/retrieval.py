@@ -220,7 +220,15 @@ def run_queries(
 
 
 def save_run(run: RunFile, path: str | Path) -> None:
-    """Write the standard six-column ranked-run format."""
+    """Write the standard six-column ranked-run format.
+
+    Raises ``ValueError``, before creating the file, for an empty tag or id
+    or one holding whitespace, which ``load_run`` could not read back.
+    """
+    for qid, ranking in run.rankings.items():
+        for name in (run.run_tag, qid, *(doc_id for doc_id, _ in ranking)):
+            if name.split() != [name]:
+                raise ValueError(f"run file field {name!r} is empty or holds whitespace")
     with open(path, "w", encoding="utf-8") as handle:
         for qid, ranking in run.rankings.items():
             for rank, (doc_id, score) in enumerate(ranking, 1):

@@ -294,3 +294,69 @@ def weights_2g_bruteforce(sets, cooc):
             form_scores = [s / total for s in form_scores]
         weighted.append((dict_scores, form_scores))
     return weighted
+
+
+def weights_itd_bruteforce(sets, cooc, max_iters, eps):
+    """Direct iteration of the ITD weighting equations from uniform weights.
+
+    Each step gives every candidate its own weight plus the mutual
+    information with each other term's candidates times their current
+    weights: dictionary candidates read the other terms' dictionary
+    candidates and formations, formations read dictionary candidates only.
+    Each term then normalizes independently. The loop stops once no weight
+    moves by ``eps`` or more, or after ``max_iters`` steps. Returns the
+    per-term ``(dict_weights, formation_weights)`` and the step count.
+    """
+
+    def mi(a, b):
+        pair = cooc.pair_count(a, b)
+        if pair == 0:
+            return 0.0
+        ua = cooc.unigram_window_count[a]
+        ub = cooc.unigram_window_count[b]
+        # Same operand order as the library, so results compare with ==.
+        return max(0.0, math.log(pair * cooc.total_windows / (ua * ub)))
+
+    weighted = []
+    for cs in sets:
+        size = len(cs.dict_candidates) + len(cs.formations)
+        weighted.append(
+            ([1.0 / size] * len(cs.dict_candidates), [1.0 / size] * len(cs.formations))
+        )
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        nxt = []
+        for i, cs in enumerate(sets):
+            dict_scores = []
+            for a, cand in enumerate(cs.dict_candidates):
+                score = weighted[i][0][a]
+                for ip, other in enumerate(sets):
+                    if ip == i:
+                        continue
+                    for b, cand2 in enumerate(other.dict_candidates):
+                        score += mi(cand, cand2) * weighted[ip][0][b]
+                    for b, form in enumerate(other.formations):
+                        score += mi(cand, form.surface) * weighted[ip][1][b]
+                dict_scores.append(score)
+            form_scores = []
+            for a, form in enumerate(cs.formations):
+                score = weighted[i][1][a]
+                for ip, other in enumerate(sets):
+                    if ip == i:
+                        continue
+                    for b, cand2 in enumerate(other.dict_candidates):
+                        score += mi(form.surface, cand2) * weighted[ip][0][b]
+                form_scores.append(score)
+            total = sum(dict_scores) + sum(form_scores)
+            nxt.append(
+                ([s / total for s in dict_scores], [s / total for s in form_scores])
+            )
+        delta = 0.0
+        for (old_d, old_f), (new_d, new_f) in zip(weighted, nxt):
+            for old, new in zip(old_d + old_f, new_d + new_f):
+                delta = max(delta, abs(new - old))
+        weighted = nxt
+        if delta < eps:
+            break
+    return weighted, iterations

@@ -61,6 +61,7 @@ from oracles import (
     mine_rules_bruteforce,
     precision_at_k_bruteforce,
     weights_2g_bruteforce,
+    weights_itd_bruteforce,
 )
 from synthcorpus import build_world
 
@@ -297,6 +298,25 @@ def test_criterion_6_one_shot_weighting_matches_bruteforce():
         for cs, (dict_scores, _) in zip(got, expected):
             assert cs.dict_weights == dict_scores
             assert cs.formation_weights == []
+
+
+def test_iterative_weighting_matches_bruteforce():
+    """Library ITD weights and step counts equal the direct iteration, exactly."""
+    rng = random.Random(5115)
+    checked = 0
+    while checked < 300:
+        table, sets = _random_toy_world(rng)
+        if not any(cs.formations for cs in sets):
+            continue
+        checked += 1
+        got = itd_weights(
+            init_weights(sets), estimate_association(table, "mi"), 50, 1e-6
+        )
+        expected, iterations = weights_itd_bruteforce(sets, table, 50, 1e-6)
+        assert got.iterations == iterations
+        for cs, (dict_weights, form_weights) in zip(got.sets, expected):
+            assert cs.dict_weights == dict_weights
+            assert cs.formation_weights == form_weights
 
 
 def test_criterion_7_retrieval_and_evaluation_oracles():

@@ -308,6 +308,32 @@ class TestIterativeWeighting:
             for cs in result.sets:
                 assert math.isclose(sum(cs.dict_weights), 1.0, abs_tol=1e-9)
 
+    def test_edges_are_computed_once_per_query(self):
+        calls = []
+
+        class CountingAssociation(StubAssociation):
+            def edge(self, a, b):
+                calls.append((a, b))
+                return super().edge(a, b)
+
+        assoc = CountingAssociation(
+            {("a1", "b1"): 1.0, ("a2", "b2"): 0.5, ("fa", "b1"): 2.0,
+             ("a1", "c1"): 0.25, ("b2", "fc"): 1.5}
+        )
+        sets = init_weights(
+            [
+                TranslationCandidateSet("t1", ["a1", "a2"], [formation("fa")]),
+                TranslationCandidateSet("t2", ["b1", "b2"]),
+                TranslationCandidateSet("t3", ["c1"], [formation("fc")]),
+            ]
+        )
+        result = itd_weights(sets, assoc, max_iters=50)
+        assert result.iterations > 1
+        # Dictionary candidates are scored against all other candidates,
+        # formations against the other terms' dictionary candidates only.
+        scored = (2 * 4 + 1 * 3) + 2 * 5 + (1 * 5 + 1 * 4)
+        assert len(calls) == len(set(calls)) == scored
+
     def test_parameter_validation(self):
         sets = init_weights([TranslationCandidateSet("t1", ["a"])])
         with pytest.raises(ValueError, match="max_iters"):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ class TestRunAndQrelsFiles:
         loaded = load_run(path)
         assert loaded.run_tag == "tag"
         assert loaded.rankings == run.rankings
+
+    @pytest.mark.parametrize(
+        "run, bad",
+        [
+            (RunFile("my run", {"q1": [("d1", -1.0)]}), "my run"),
+            (RunFile("tag", {"q 1": [("d1", -1.0)]}), "q 1"),
+            (RunFile("tag", {"q1": [("d1", -1.0), ("doc\t2", -2.0)]}), "doc\t2"),
+            (RunFile("tag", {"q1": [("", -1.0)]}), ""),
+        ],
+    )
+    def test_save_run_rejects_fields_it_cannot_read_back(self, tmp_path, run, bad):
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            save_run(run, path)
+        assert not path.exists()
 
     def test_run_validation(self, tmp_path):
         path = tmp_path / "run.txt"
