@@ -8,7 +8,6 @@ from .corpus import (
     Document,
     PosLexicon,
     StopwordList,
-    build_cooccurrence,
     build_index,
     load_pos_lexicon,
     load_stopwords,

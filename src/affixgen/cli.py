@@ -156,9 +156,12 @@ def cmd_index(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "corpus", "index_dir")
     stop = _load_optional_stopwords(cfg.stopwords)
-    docs = corpus_mod.read_documents(cfg.corpus)
-    index = corpus_mod.build_index(docs, stop)
-    cooc = corpus_mod.build_cooccurrence(docs, cfg.context_window, stop)
+    index = corpus_mod.CollectionIndex()
+    cooc = corpus_mod.CooccurrenceTable(cfg.context_window)
+    for doc in corpus_mod.read_documents(cfg.corpus):
+        tokens = corpus_mod.tokenize(doc.text, stop)
+        index.add_document(doc.doc_id, tokens)
+        cooc.add_document(tokens)
     corpus_mod.save_index(index, cfg.index_dir)
     corpus_mod.save_cooccurrence(cooc, cfg.index_dir)
     print(f"indexed {index.num_docs} documents, {len(index.postings)} terms, "

@@ -2,9 +2,10 @@
 
 Documents are tokenized into lowercase letter runs. Two statistics tables are
 built from the token stream: an inverted index with document lengths and
-collection frequencies, and a sliding-window co-occurrence table used by the
-association models and the context filter. Both tables can be written to a
-snapshot directory and reloaded without loss.
+collection frequencies, and each term's token positions, from which sliding
+w-token window counts follow: a token at position p of an n-token document
+lies in the windows starting in [max(0, p - w + 1), min(p, n - w)]. Both
+tables can be written to a snapshot directory and reloaded without loss.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # A token is a maximal run of Unicode letters; digits, underscores and
 # punctuation all act as separators.
@@ -123,57 +123,68 @@ def build_index(
 
 
 class CooccurrenceTable:
-    """Window-level co-occurrence counts over the tokenized collection.
+    """Sliding-window co-occurrence counts, computed from token positions.
 
-    Windows of ``window_size`` tokens advance one token at a time within each
-    document and never cross document boundaries; a document shorter than the
-    window contributes a single truncated window. Each window counts every
-    distinct unordered term pair at most once, and self pairs are excluded.
+    Windows of ``window_size`` (w) tokens advance one token at a time within
+    each document and never cross document boundaries; a document of n <= w
+    tokens holds one window. A window counts each distinct unordered term pair
+    once, and self pairs are excluded. Only the document lengths and each
+    term's ascending positions in each non-empty document are stored
+    (``positions[term][doc]``, documents numbered as added). A term's windows
+    in a document are the union of [max(0, p - w + 1), min(p, n - w)] over its
+    positions p; ``unigram_window_count`` sums the union's size over documents
+    and ``pair_count(a, b)`` the size of two terms' intersection.
     """
 
     def __init__(self, window_size: int) -> None:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
         self.window_size = window_size
-        self._pairs: Counter[tuple[str, str]] = Counter()
+        self.positions: dict[str, dict[int, list[int]]] = {}
+        self.doc_len: list[int] = []
         self.unigram_window_count: Counter[str] = Counter()
         self.total_windows: int = 0
+
+    def _windows(self, positions: list[int], n: int) -> int:
+        """How many windows of an n-token document hold any of the ascending positions."""
+        w = self.window_size
+        final = n - w if n > w else 0  # the last window start
+        count, counted_to = 0, -1
+        for p in positions:  # add the starts in [p - w + 1, min(p, final)] not yet counted
+            last = p if p < final else final
+            first = p - w + 1 if p - w >= counted_to else counted_to + 1
+            if last >= first:
+                count += last - first + 1
+                counted_to = last
+        return count
 
     def pair_count(self, a: str, b: str) -> int:
         if a == b:
             return 0
-        key = (a, b) if a <= b else (b, a)
-        return self._pairs.get(key, 0)
+        in_a, in_b = self.positions.get(a, {}), self.positions.get(b, {})
+        count = 0
+        for doc in in_a.keys() & in_b.keys():
+            pos_a, pos_b, n = in_a[doc], in_b[doc], self.doc_len[doc]
+            # |A & B| = |A| + |B| - |A | B|, and A | B are the windows holding either term.
+            count += (self._windows(pos_a, n) + self._windows(pos_b, n)
+                      - self._windows(sorted(pos_a + pos_b), n))
+        return count
 
     def add_document(self, tokens: list[str]) -> None:
-        n = len(tokens)
-        if n == 0:
+        if not tokens:
             return
-        w = self.window_size
-        starts = range(n - w + 1) if n > w else range(1)
-        for start in starts:
-            window = set(tokens[start : start + w])
-            self.total_windows += 1
-            for term in window:
-                self.unigram_window_count[term] += 1
-            for a, b in combinations(window, 2):
-                key = (a, b) if a <= b else (b, a)
-                self._pairs[key] += 1
+        held: dict[str, list[int]] = {}
+        for p, term in enumerate(tokens):
+            held.setdefault(term, []).append(p)
+        self._add(held, len(tokens))
 
-    def iter_pairs(self) -> Iterator[tuple[str, str, int]]:
-        for (a, b), count in self._pairs.items():
-            yield a, b, count
-
-
-def build_cooccurrence(
-    docs: Iterable[Document],
-    window_size: int,
-    stopwords: StopwordList | None = None,
-) -> CooccurrenceTable:
-    table = CooccurrenceTable(window_size)
-    for doc in docs:
-        table.add_document(tokenize(doc.text, stopwords))
-    return table
+    def _add(self, held: dict[str, list[int]], n: int) -> None:
+        doc = len(self.doc_len)
+        self.doc_len.append(n)
+        self.total_windows += max(0, n - self.window_size) + 1
+        for term, positions in held.items():
+            self.positions.setdefault(term, {})[doc] = positions
+            self.unigram_window_count[term] += self._windows(positions, n)
 
 
 @dataclass
@@ -234,8 +245,11 @@ def _read_sgml(text: str, source: str) -> list[Document]:
         docno = re.search(r"<DOCNO>(.*?)</DOCNO>", block, flags=re.DOTALL)
         if docno is None:
             raise ValueError(f"{source}: document block without DOCNO")
+        doc_id = docno.group(1).strip()
+        if doc_id.split() != [doc_id]:  # run files are whitespace-separated
+            raise ValueError(f"{source}: DOCNO {doc_id!r} is empty or holds whitespace")
         body = "\n".join(re.findall(r"<TEXT>(.*?)</TEXT>", block, flags=re.DOTALL))
-        docs.append(Document(docno.group(1).strip(), body.strip()))
+        docs.append(Document(doc_id, body.strip()))
     if not docs:
         raise ValueError(f"{source}: no <DOC> blocks found")
     return docs
@@ -247,8 +261,9 @@ def _read_tsv(text: str, source: str) -> list[Document]:
         if not line.strip():
             continue
         doc_id, sep, body = line.partition("\t")
-        if not sep or not doc_id:
-            raise ValueError(f"{source}: malformed document line {lineno}")
+        if not sep or doc_id.split() != [doc_id]:  # run files are whitespace-separated
+            raise ValueError(f"{source}: malformed document line {lineno}: "
+                             f"expected an id without whitespace, a tab, then the text")
         docs.append(Document(doc_id, body))
     if not docs:
         raise ValueError(f"{source}: no documents found")
@@ -299,10 +314,13 @@ def load_index(directory: str | Path) -> CollectionIndex:
         raise ValueError(f"{directory}: document count mismatch against manifest")
     if index.total_tokens != manifest["total_tokens"]:
         raise ValueError(f"{directory}: token count mismatch against manifest")
+    if len(index.postings) != manifest["vocabulary_size"]:
+        raise ValueError(f"{directory}: vocabulary size mismatch against manifest")
     return index
 
 
 def save_cooccurrence(table: CooccurrenceTable, directory: str | Path) -> None:
+    """Write the window size and count plus ``term<TAB>doc<TAB>p1,p2,...`` lines."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -312,27 +330,26 @@ def save_cooccurrence(table: CooccurrenceTable, directory: str | Path) -> None:
         "total_windows": table.total_windows,
     }
     _write_json(directory / "cooccurrence.json", manifest)
-    with open(directory / "pair_windows.tsv", "w", encoding="utf-8") as handle:
-        for a, b, count in sorted(table.iter_pairs()):
-            handle.write(f"{a}\t{b}\t{count}\n")
-    with open(directory / "unigram_windows.tsv", "w", encoding="utf-8") as handle:
-        for term in sorted(table.unigram_window_count):
-            handle.write(f"{term}\t{table.unigram_window_count[term]}\n")
+    with open(directory / "positions.tsv", "w", encoding="utf-8") as handle:
+        for term in sorted(table.positions):
+            for doc, positions in sorted(table.positions[term].items()):
+                handle.write(f"{term}\t{doc}\t{','.join(map(str, positions))}\n")
 
 
 def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
     directory = Path(directory)
     manifest = _read_json(directory / "cooccurrence.json", "cooccurrence")
+    held_by_doc: dict[int, dict[str, list[int]]] = {}
+    with open(directory / "positions.tsv", encoding="utf-8") as handle:
+        for line in handle:
+            term, doc, positions = line.rstrip("\n").split("\t")
+            held_by_doc.setdefault(int(doc), {})[term] = list(map(int, positions.split(",")))
     table = CooccurrenceTable(manifest["window_size"])
-    table.total_windows = manifest["total_windows"]
-    with open(directory / "pair_windows.tsv", encoding="utf-8") as handle:
-        for line in handle:
-            a, b, count = line.rstrip("\n").split("\t")
-            table._pairs[(a, b)] = int(count)
-    with open(directory / "unigram_windows.tsv", encoding="utf-8") as handle:
-        for line in handle:
-            term, count = line.rstrip("\n").split("\t")
-            table.unigram_window_count[term] = int(count)
+    # Every position of a document holds a token, so its last one gives its length.
+    for _, held in sorted(held_by_doc.items()):
+        table._add(held, 1 + max(positions[-1] for positions in held.values()))
+    if table.total_windows != manifest["total_windows"]:
+        raise ValueError(f"{directory}: window count mismatch against manifest")
     return table
 
 

@@ -223,6 +223,9 @@ class CharSignatures:
             for c in word:
                 sig[row, char_index[c]] += 1
         self._char_index, self._sig = char_index, sig
+        # Reused by every call: a fresh rows-by-alphabet temporary per call
+        # goes back to the OS when freed and page-faults in again.
+        self._diff = np.empty_like(sig)
 
     def within(self, w: str, k: int, start: int = 0) -> np.ndarray:
         """Rows from ``start`` on whose counts lie within L1 distance ``k`` of ``w``.
@@ -237,7 +240,8 @@ class CharSignatures:
                 unknown += 1
             else:
                 vec[idx] += 1
-        l1 = np.abs(self._sig[start:] - vec).sum(axis=1) + unknown
+        diff = np.subtract(self._sig[start:], vec, out=self._diff[start:])
+        l1 = np.abs(diff, out=diff).sum(axis=1) + unknown
         return np.nonzero(l1 <= k)[0] + start
 
 

@@ -15,7 +15,6 @@ from affixgen.corpus import (
     CooccurrenceTable,
     Document,
     PosLexicon,
-    build_cooccurrence,
     build_index,
     tokenize,
 )
@@ -370,7 +369,9 @@ def test_criterion_8_synthetic_cross_lingual_pipeline():
     start = time.perf_counter()
     world = build_world()
     index = build_index(world.documents)
-    cooc = build_cooccurrence(world.documents, 10)
+    cooc = CooccurrenceTable(10)
+    for doc in world.documents:
+        cooc.add_document(tokenize(doc.text))
 
     table = mine_rules(index.vocabulary)
     top20 = set(table.top(20))

@@ -114,14 +114,13 @@ def retrieve(pipe, queries, out):
 class TestCliPipeline:
     def test_index_snapshot_files(self, pipeline):
         names = {p.name for p in pipeline.root.joinpath("snapshot").iterdir()}
-        assert {
+        assert names == {
             "index.json",
             "postings.tsv",
             "doc_lens.tsv",
             "cooccurrence.json",
-            "pair_windows.tsv",
-            "unigram_windows.tsv",
-        } <= names
+            "positions.tsv",
+        }
 
     def test_mined_rules_file(self, pipeline):
         text = open(pipeline.rules_file, encoding="utf-8").read()

@@ -1,5 +1,6 @@
 """Tokenizer, index statistics, co-occurrence windows, and snapshots."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from affixgen.corpus import (
     CooccurrenceTable,
     Document,
     StopwordList,
-    build_cooccurrence,
     build_index,
     load_cooccurrence,
     load_index,
@@ -20,6 +20,26 @@ from affixgen.corpus import (
     tokenize,
 )
 from oracles import window_cooccurrence_bruteforce
+
+
+def cooccurrence(docs, window_size):
+    table = CooccurrenceTable(window_size)
+    for doc in docs:
+        table.add_document(tokenize(doc.text))
+    return table
+
+
+def assert_counts_match_bruteforce(table, docs, vocab):
+    pairs, unigram, total = window_cooccurrence_bruteforce(
+        [tokenize(doc.text) for doc in docs], table.window_size
+    )
+    assert table.total_windows == total
+    assert dict(table.unigram_window_count) == dict(unigram)
+    for a in vocab:
+        for b in vocab:
+            expected = 0 if a == b else pairs[min(a, b), max(a, b)]
+            assert table.pair_count(a, b) == expected
+            assert table.pair_count(b, a) == expected
 
 
 class TestTokenize:
@@ -85,32 +105,32 @@ class TestCollectionIndex:
 
 class TestCooccurrence:
     def test_short_doc_single_truncated_window(self):
-        table = build_cooccurrence([Document("d", "a b")], 10)
+        table = cooccurrence([Document("d", "a b")], 10)
         assert table.total_windows == 1
         assert table.pair_count("a", "b") == 1
         assert table.pair_count("b", "a") == 1
 
     def test_sliding_step_one(self):
-        table = build_cooccurrence([Document("d", "a b c")], 2)
+        table = cooccurrence([Document("d", "a b c")], 2)
         assert table.total_windows == 2
         assert table.pair_count("a", "b") == 1
         assert table.pair_count("b", "c") == 1
         assert table.pair_count("a", "c") == 0
 
     def test_self_pairs_excluded(self):
-        table = build_cooccurrence([Document("d", "a a")], 2)
+        table = cooccurrence([Document("d", "a a")], 2)
         assert table.pair_count("a", "a") == 0
         assert table.unigram_window_count["a"] == 1
         assert table.total_windows == 1
 
     def test_windows_never_cross_documents(self):
-        table = build_cooccurrence([Document("1", "a"), Document("2", "b")], 10)
+        table = cooccurrence([Document("1", "a"), Document("2", "b")], 10)
         assert table.pair_count("a", "b") == 0
         assert table.total_windows == 2
 
     def test_pair_counted_once_per_window(self):
         # Repeats within one window still count the distinct pair once.
-        table = build_cooccurrence([Document("d", "a b a b")], 4)
+        table = cooccurrence([Document("d", "a b a b")], 4)
         assert table.pair_count("a", "b") == 1
 
     def test_invalid_window_size(self):
@@ -127,11 +147,8 @@ class TestCooccurrence:
             ]
             window = rng.randint(1, 12)
             docs = [Document(f"d{i}", " ".join(t)) for i, t in enumerate(token_docs)]
-            table = build_cooccurrence(docs, window)
-            pairs, unigram, total = window_cooccurrence_bruteforce(token_docs, window)
-            assert table.total_windows == total
-            assert dict(table.unigram_window_count) == dict(unigram)
-            assert dict(table._pairs) == dict(pairs)
+            table = cooccurrence(docs, window)
+            assert_counts_match_bruteforce(table, docs, vocab)
             for a in vocab:
                 for b in vocab:
                     assert table.pair_count(a, b) == table.pair_count(b, a)
@@ -189,6 +206,24 @@ class TestDocumentReaders:
         with pytest.raises(ValueError, match="DOCNO"):
             read_documents(path)
 
+    @pytest.mark.parametrize("line", ["doc 1\tkala talo", " \tkala", "d1 \tkala"])
+    def test_tsv_id_with_whitespace_rejected(self, tmp_path, line):
+        path = tmp_path / "docs.tsv"
+        path.write_text(f"d0\ttalo\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2"):
+            read_documents(path)
+
+    @pytest.mark.parametrize("docno", ["doc 1", " ", "d\t1"])
+    def test_sgml_docno_empty_or_with_whitespace_rejected(self, tmp_path, docno):
+        path = tmp_path / "docs.sgml"
+        path.write_text(
+            "<DOC><DOCNO>d0</DOCNO><TEXT>talo</TEXT></DOC>\n"
+            f"<DOC><DOCNO>{docno}</DOCNO><TEXT>kala</TEXT></DOC>\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="DOCNO"):
+            read_documents(path)
+
     def test_malformed_tsv_fails(self, tmp_path):
         path = tmp_path / "docs.tsv"
         path.write_text("no tab here\n", encoding="utf-8")
@@ -218,14 +253,45 @@ class TestSnapshots:
         assert first == second
 
     def test_cooccurrence_round_trip(self, tmp_path):
-        docs = [Document("d1", "a b c d e f"), Document("d2", "b c b")]
-        table = build_cooccurrence(docs, 3)
+        docs = [Document("d1", "a b c d e f"), Document("d0", ""), Document("d2", "b c b")]
+        table = cooccurrence(docs, 3)
         save_cooccurrence(table, tmp_path)
         loaded = load_cooccurrence(tmp_path)
         assert loaded.window_size == table.window_size
-        assert loaded.total_windows == table.total_windows
-        assert dict(loaded._pairs) == dict(table._pairs)
-        assert dict(loaded.unigram_window_count) == dict(table.unigram_window_count)
+        assert loaded.positions == table.positions
+        assert loaded.doc_len == table.doc_len
+        assert_counts_match_bruteforce(loaded, docs, "abcdefg")
+
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        save_cooccurrence(loaded, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+    def test_version_1_cooccurrence_snapshot_refused(self, tmp_path):
+        manifest = {"format_version": 1, "kind": "cooccurrence",
+                    "total_windows": 1, "window_size": 10}
+        (tmp_path / "cooccurrence.json").write_text(json.dumps(manifest), encoding="utf-8")
+        (tmp_path / "pair_windows.tsv").write_text("a\tb\t1\n", encoding="utf-8")
+        (tmp_path / "unigram_windows.tsv").write_text("a\t1\nb\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported format version"):
+            load_cooccurrence(tmp_path)
+
+    @pytest.mark.parametrize(
+        "manifest, key, save, load",
+        [
+            ("index.json", "vocabulary_size", save_index, load_index),
+            ("cooccurrence.json", "total_windows", save_cooccurrence, load_cooccurrence),
+        ],
+    )
+    def test_manifest_count_checked(self, tmp_path, manifest, key, save, load):
+        docs = [Document("d1", "a b c d"), Document("d2", "b e")]
+        table = build_index(docs) if save is save_index else cooccurrence(docs, 2)
+        save(table, tmp_path)
+        path = tmp_path / manifest
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key] += 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{tmp_path}.*mismatch"):
+            load(tmp_path)
 
     def test_manifest_mismatch_detected(self, tmp_path):
         docs = [Document("d1", "a b")]

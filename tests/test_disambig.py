@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from affixgen.corpus import CooccurrenceTable, Document, build_cooccurrence, build_index
+from affixgen.corpus import CooccurrenceTable, Document, build_index
 from affixgen.disambig import (
     JOINT,
     MUTUAL_INFORMATION,
@@ -501,17 +501,17 @@ class TestCandidateSets:
             cfg,
         )
         d = BilingualDictionary({"cat": ["gato"]})
-        cooc = build_cooccurrence(
-            [Document("d1", "gato gatos"), Document("d2", "gatic luna")],
-            window_size=3,
-        )
+        cooc = CooccurrenceTable(window_size=3)
+        cooc.add_document(["gato", "gatos"])
+        cooc.add_document(["gatic", "luna"])
         sets = build_candidate_sets(["cat"], d, mode="ag", generator=gen, cooc=cooc)
         # "gatos" co-occurs with the anchor "gato"; "gatic" never does.
         assert [f.surface for f in sets[0].formations] == ["gatos"]
 
         with pytest.raises(ValueError, match="needs a co-occurrence"):
             build_candidate_sets(["cat"], d, mode="ag", generator=gen)
-        wrong = build_cooccurrence([Document("d1", "gato gatos")], window_size=5)
+        wrong = CooccurrenceTable(window_size=5)
+        wrong.add_document(["gato", "gatos"])
         with pytest.raises(ValueError, match="does not match"):
             build_candidate_sets(
                 ["cat"], d, mode="ag", generator=gen, cooc=wrong

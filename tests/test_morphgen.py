@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from affixgen.corpus import CooccurrenceTable, Document, PosLexicon, build_cooccurrence
+from affixgen.corpus import CooccurrenceTable, PosLexicon
 from affixgen.morphgen import (
     FormationCandidate,
     FormationGenerator,
@@ -175,11 +175,10 @@ class TestFormationGenerator:
 
 class TestContextFilter:
     def cooc(self):
-        docs = [
-            Document("d1", "gato gatos perro"),
-            Document("d2", "luna sol"),
-        ]
-        return build_cooccurrence(docs, window_size=5)
+        table = CooccurrenceTable(window_size=5)
+        table.add_document(["gato", "gatos", "perro"])
+        table.add_document(["luna", "sol"])
+        return table
 
     def test_keeps_candidates_seen_with_an_anchor(self):
         cand = FormationCandidate("gatos", "gato", rule_of(("i", "e", "s")), 0.5)

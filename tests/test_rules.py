@@ -9,6 +9,7 @@ from affixgen.corpus import PosLexicon
 from affixgen.morphgen import apply_rule
 from affixgen.rules import (
     Action,
+    CharSignatures,
     MedConfig,
     RuleTable,
     TransformationRule,
@@ -86,6 +87,22 @@ class TestBandedDistance:
                     assert banded == d
                 else:
                     assert banded is None
+
+
+class TestCharSignatures:
+    def test_within_matches_character_count_distance(self):
+        # Calls with varying words, starts and k share one work buffer.
+        rng = random.Random(5)
+        words = [random_word(rng, "abcde") for _ in range(60)]
+        sigs = CharSignatures(words)
+        for _ in range(300):
+            w = random_word(rng, "abcdx")
+            k, start = rng.randint(0, 4), rng.randint(0, len(words))
+            expected = [
+                row for row in range(start, len(words))
+                if sum(abs(w.count(c) - words[row].count(c)) for c in "abcdex") <= k
+            ]
+            assert sigs.within(w, k, start).tolist() == expected
 
 
 class TestExtractRule:
