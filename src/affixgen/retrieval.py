@@ -4,7 +4,8 @@ Documents are scored against weighted queries with a Dirichlet-smoothed
 query-likelihood model, equivalent up to a query-constant shift to negative
 KL divergence between the query distribution and the smoothed document
 model. Pseudo-relevance feedback fits a fixed-noise mixture model over the
-top-ranked documents by EM and interpolates it with the original query.
+top-ranked documents, solved exactly in closed form (Zhang & Xu, IPM 2008),
+and interpolates it with the original query.
 
 Evaluation covers average precision, precision at fixed cutoffs, and the
 11-point interpolated precision-recall curve, plus a paired two-tailed
@@ -14,7 +15,7 @@ t-test for comparing per-query metrics between runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -94,50 +95,42 @@ def score_kl(
     return ranked[: cfg.top_k]
 
 
-def fit_feedback_model(
-    counts: dict[str, int],
-    index: CollectionIndex,
-    noise: float,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-) -> tuple[dict[str, float], list[float]]:
-    """EM fit of the feedback term distribution in a two-component mixture.
+def feedback_model(
+    counts: dict[str, int], index: CollectionIndex, noise: float
+) -> dict[str, float]:
+    """Exact maximum-likelihood feedback model of a fixed-noise mixture.
 
     Each feedback-document token is explained either by the feedback model
     (weight ``1 - noise``) or by the fixed collection model (weight
-    ``noise``). Returns the fitted distribution and the per-iteration data
-    log-likelihood trace, which is non-decreasing.
+    ``noise``). The maximizer has a closed form (Zhang & Xu, IPM 44(3),
+    2008): with ``r = noise / (1 - noise)`` and ``q_t = p(t|C)``,
+    ``p_t = c_t / nu - r * q_t``, where ``nu = sum(c) / (1 + r * sum(q))``
+    over the support, the longest run of terms by descending ``c_t / q_t``
+    whose ``p_t`` are all positive. Only the support is returned. With
+    ``noise >= 1`` the likelihood does not depend on the feedback model, and
+    the uniform distribution over the counted terms is returned.
     """
-    if not counts:
+    if not any(counts.values()):
         raise ValueError("no feedback term counts")
-    terms = sorted(counts)
-    p_coll = {t: index.p_collection(t) for t in terms}
-    probs = {t: 1.0 / len(terms) for t in terms}
     if noise >= 1.0:
-        # The likelihood no longer depends on the feedback model; any
-        # distribution is a fixed point, so the uniform start is returned.
-        ll = sum(counts[t] * math.log(noise * p_coll[t]) for t in terms)
-        return probs, [ll]
-    history: list[float] = []
-    for _ in range(max_iters):
-        posteriors = {}
-        ll = 0.0
-        for t in terms:
-            fb = (1.0 - noise) * probs[t]
-            mix = fb + noise * p_coll[t]
-            posteriors[t] = fb / mix
-            ll += counts[t] * math.log(mix)
-        history.append(ll)
-        mass = {t: counts[t] * posteriors[t] for t in terms}
-        total = sum(mass.values())
-        if total <= 0.0:
+        return {t: 1.0 / len(counts) for t in sorted(counts)}
+    r = noise / (1.0 - noise)
+    q = {t: index.p_collection(t) for t in counts}
+    if min(q.values()) <= 0.0:
+        raise ValueError("feedback terms must occur in the collection")
+    order = sorted(counts, key=lambda t: (-counts[t] / q[t], t))
+    c_sum = q_sum = 0.0
+    kept, nu = 0, 1.0
+    for t in order:
+        c_sum += counts[t]
+        q_sum += q[t]
+        nu_here = c_sum / (1.0 + r * q_sum)
+        # Once a prefix holds a term with p_t <= 0, so does every longer one.
+        if counts[t] / nu_here - r * q[t] <= 0.0:
             break
-        updated = {t: mass[t] / total for t in terms}
-        delta = max(abs(updated[t] - probs[t]) for t in terms)
-        probs = updated
-        if delta < tol:
-            break
-    return probs, history
+        kept, nu = kept + 1, nu_here
+    probs = {t: counts[t] / nu - r * q[t] for t in order[:kept]}
+    return {t: p for t, p in probs.items() if p > 0.0}
 
 
 def prf_mixture(
@@ -148,10 +141,11 @@ def prf_mixture(
 ) -> WeightedQuery:
     """Expand a query from its top-ranked documents.
 
-    The feedback distribution is truncated to the strongest ``prf_terms``
-    terms, renormalized, and interpolated with the original query weights by
-    ``prf_lambda``. With a zero interpolation weight the query is returned
-    unchanged.
+    The feedback distribution, fitted in closed form to the tokens of the
+    first ``prf_docs`` documents (``feedback_model``, Zhang & Xu 2008), is
+    truncated to the strongest ``prf_terms`` terms, renormalized, and
+    interpolated with the original query weights by ``prf_lambda``. With a
+    zero interpolation weight the query is returned unchanged.
     """
     if cfg.prf_lambda == 0.0:
         return query
@@ -160,14 +154,13 @@ def prf_mixture(
         return query
     counts: dict[str, int] = {}
     for term, plist in index.postings.items():
-        tally = 0
-        for doc_id in fb_docs:
-            tally += plist.get(doc_id, 0)
-        if tally:
-            counts[term] = tally
+        # The key view intersects in C, iterating over the smaller side.
+        common = plist.keys() & fb_docs
+        if common:
+            counts[term] = sum(plist[doc_id] for doc_id in common)
     if not counts:
         return query
-    probs, _ = fit_feedback_model(counts, index, cfg.prf_noise)
+    probs = feedback_model(counts, index, cfg.prf_noise)
     strongest = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.prf_terms]
     total = sum(p for _, p in strongest)
     feedback = {t: p / total for t, p in strongest}
@@ -207,14 +200,18 @@ def run_queries(
     run_tag: str = "affixgen",
     prf: bool = False,
 ) -> RunFile:
-    """Score every query, optionally with one round of feedback."""
+    """Score every query, optionally with one round of feedback.
+
+    The feedback pass ranks at least ``prf_docs`` documents; ``top_k`` cuts
+    only the final ranking.
+    """
     cfg = cfg or RetrievalConfig()
+    first_cfg = replace(cfg, top_k=max(cfg.top_k, cfg.prf_docs)) if prf else cfg
     run = RunFile(run_tag)
     for query in queries:
-        ranking = score_kl(query, index, cfg)
+        ranking = score_kl(query, index, first_cfg)
         if prf:
-            expanded = prf_mixture(ranking, index, cfg, query)
-            ranking = score_kl(expanded, index, cfg)
+            ranking = score_kl(prf_mixture(ranking, index, cfg, query), index, cfg)
         run.rankings[query.query_id] = ranking
     return run
 

@@ -216,6 +216,49 @@ def kl_score_bruteforce(dist, token_docs, mu):
     return scores
 
 
+def mixture_loglikelihood(counts, p_coll, noise, probs):
+    """Log-likelihood of the feedback tokens under the fixed-noise mixture.
+
+    Each token of term ``t`` has probability
+    ``(1 - noise) * probs[t] + noise * p_coll[t]``; terms missing from
+    ``probs`` have feedback probability zero.
+    """
+    return sum(
+        c * math.log((1.0 - noise) * probs.get(t, 0.0) + noise * p_coll[t])
+        for t, c in counts.items()
+    )
+
+
+def feedback_model_em(counts, p_coll, noise, tol=1e-15, max_iters=100_000):
+    """EM for the fixed-noise feedback mixture, run until it converges.
+
+    Starts from the uniform distribution over the counted terms. Each step
+    gives every term its expected number of tokens drawn from the feedback
+    model and renormalizes. The log-likelihood never decreases; the loop
+    stops once a step raises it by no more than ``tol`` times its size
+    (``converged`` is true) or after ``max_iters`` steps (false). With
+    ``noise >= 1`` the likelihood does not depend on the feedback model, and
+    the uniform start is returned as converged. Returns the distribution,
+    the log-likelihood of every iterate, and ``converged``.
+    """
+    terms = sorted(counts)
+    probs = {t: 1.0 / len(terms) for t in terms}
+    history = [mixture_loglikelihood(counts, p_coll, noise, probs)]
+    if noise >= 1.0:
+        return probs, history, True
+    for _ in range(max_iters):
+        mass = {}
+        for t in terms:
+            fb = (1.0 - noise) * probs[t]
+            mass[t] = counts[t] * fb / (fb + noise * p_coll[t])
+        total = sum(mass.values())
+        probs = {t: mass[t] / total for t in terms}
+        history.append(mixture_loglikelihood(counts, p_coll, noise, probs))
+        if history[-1] - history[-2] <= tol * abs(history[-1]):
+            return probs, history, True
+    return probs, history, False
+
+
 def average_precision_bruteforce(ranking, relevant):
     """AP straight from the definition: mean precision at relevant ranks."""
     if not relevant:

@@ -41,6 +41,7 @@ from affixgen.retrieval import (
     RetrievalConfig,
     RunFile,
     evaluate,
+    feedback_model,
     paired_ttest,
     run_queries,
     score_kl,
@@ -55,9 +56,11 @@ from affixgen.rules import (
 from affixgen.disambig import QueryTerm, WeightedQuery
 from oracles import (
     average_precision_bruteforce,
+    feedback_model_em,
     interpolated_precision_bruteforce,
     lcs_len,
     mine_rules_bruteforce,
+    mixture_loglikelihood,
     precision_at_k_bruteforce,
     weights_2g_bruteforce,
     weights_itd_bruteforce,
@@ -464,3 +467,44 @@ def test_criterion_9_noise_filter_monotonicity():
         assert both <= tau_only
         assert both <= len_only
     assert nonempty > 50
+
+
+def test_criterion_10_feedback_model_is_exact_mle():
+    """Closed-form feedback model: KKT optimal, at least converged EM's fit.
+
+    On 300 random count tables at each noise level, every kept term has the
+    same marginal (1 - noise) * c_t / mix_t and no dropped term a larger
+    one, the kept probabilities are positive and sum to 1, and the
+    log-likelihood is at least that of EM run until it converged. The
+    tolerances are rounding: near noise = 1 - 1e-6, p_t = c_t / nu - r * q_t
+    cancels about log10(r) = 6 digits.
+    """
+    rng = random.Random(10010)
+    for noise in (0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0):
+        for _ in range(300):
+            tokens = [rng.choice("abcdefghijkl") for _ in range(rng.randint(5, 80))]
+            index = build_index([Document("d", " ".join(tokens))])
+            vocab = sorted(index.collection_freq)
+            counts = {
+                t: rng.randint(1, 12)
+                for t in rng.sample(vocab, rng.randint(1, min(10, len(vocab))))
+            }
+            p_coll = {t: index.p_collection(t) for t in counts}
+            probs = feedback_model(counts, index, noise)
+            assert set(probs) <= set(counts)
+            assert all(p > 0.0 for p in probs.values())
+            assert abs(math.fsum(probs.values()) - 1.0) <= 1e-9
+            marginal = {
+                t: (1.0 - noise) * c / ((1.0 - noise) * probs.get(t, 0.0) + noise * p_coll[t])
+                for t, c in counts.items()
+            }
+            level = max(marginal[t] for t in probs)
+            for t in counts:
+                if t in probs:
+                    assert abs(marginal[t] - level) <= 1e-9 * level
+                else:
+                    assert marginal[t] <= level * (1.0 + 1e-9)
+            _, history, converged = feedback_model_em(counts, p_coll, noise)
+            assert converged
+            ll = mixture_loglikelihood(counts, p_coll, noise, probs)
+            assert ll >= history[-1] - 1e-14 * max(1.0, abs(history[-1]))

@@ -17,7 +17,7 @@ from affixgen.retrieval import (
     RetrievalConfig,
     RunFile,
     evaluate,
-    fit_feedback_model,
+    feedback_model,
     load_qrels,
     load_run,
     paired_ttest,
@@ -29,8 +29,10 @@ from affixgen.retrieval import (
 )
 from oracles import (
     average_precision_bruteforce,
+    feedback_model_em,
     interpolated_precision_bruteforce,
     kl_score_bruteforce,
+    mixture_loglikelihood,
     precision_at_k_bruteforce,
 )
 
@@ -138,21 +140,47 @@ class TestScoreKl:
             score_kl(query("q", {"a": 1.0}), build_index([]))
 
 
+def assert_exact_mle(counts, index, noise, em_ll):
+    """``feedback_model`` meets the optimality conditions of the mixture.
+
+    The marginal gain of feedback mass on term t is (1 - noise) * c_t / mix_t.
+    Every kept term has the same marginal and no dropped term a larger one
+    (KKT). The tolerances cover rounding: p_t = c_t / nu - r * q_t cancels
+    digits when r = noise / (1 - noise) is near 1e6, about r * 2.2e-16.
+    """
+    probs = feedback_model(counts, index, noise)
+    p_coll = {t: index.p_collection(t) for t in counts}
+    assert set(probs) <= set(counts)
+    assert all(p > 0.0 for p in probs.values())
+    assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-9)
+    marginal = {
+        t: (1.0 - noise) * c / ((1.0 - noise) * probs.get(t, 0.0) + noise * p_coll[t])
+        for t, c in counts.items()
+    }
+    level = max(marginal[t] for t in probs)
+    for t in counts:
+        if t in probs:
+            assert marginal[t] == pytest.approx(level, rel=1e-9)
+        else:
+            assert marginal[t] <= level * (1.0 + 1e-9)
+    ll = mixture_loglikelihood(counts, p_coll, noise, probs)
+    assert ll >= em_ll - 1e-14 * max(1.0, abs(em_ll))
+
+
 class TestFeedback:
     def test_noiseless_fit_recovers_count_proportions(self):
         index = build_index([Document("d1", "a a b"), Document("d2", "c c c c")])
-        probs, history = fit_feedback_model({"a": 2, "b": 1}, index, noise=0.0)
+        probs = feedback_model({"a": 2, "b": 1}, index, noise=0.0)
         assert probs["a"] == pytest.approx(2 / 3, abs=1e-12)
         assert probs["b"] == pytest.approx(1 / 3, abs=1e-12)
-        assert len(history) >= 1
 
     def test_pure_noise_returns_uniform(self):
         index = build_index([Document("d1", "a a b")])
-        probs, history = fit_feedback_model({"a": 2, "b": 1}, index, noise=1.0)
+        probs = feedback_model({"a": 2, "b": 1}, index, noise=1.0)
         assert probs == {"a": 0.5, "b": 0.5}
-        assert len(history) == 1
 
     def test_loglikelihood_never_decreases(self):
+        # Of the oracle EM that the exact solution is checked against.
         rng = random.Random(61)
         for _ in range(20):
             docs = random_collection(rng, num_docs=5)
@@ -161,14 +189,84 @@ class TestFeedback:
                 t: rng.randint(1, 6)
                 for t in rng.sample(sorted(index.collection_freq), 4)
             }
-            _, history = fit_feedback_model(counts, index, noise=rng.uniform(0.1, 0.9))
+            p_coll = {t: index.p_collection(t) for t in counts}
+            _, history, converged = feedback_model_em(
+                counts, p_coll, noise=rng.uniform(0.1, 0.9)
+            )
+            assert converged
             for earlier, later in zip(history, history[1:]):
                 assert later >= earlier - 1e-9
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0])
+    def test_exact_solution_matches_converged_em(self, noise):
+        rng = random.Random(63)
+        for _ in range(40):
+            docs = random_collection(rng, num_docs=6, vocab="abcdefghij", max_len=15)
+            index = build_index(docs)
+            vocab = sorted(index.collection_freq)
+            counts = {
+                t: rng.randint(1, 9)
+                for t in rng.sample(vocab, rng.randint(1, min(8, len(vocab))))
+            }
+            p_coll = {t: index.p_collection(t) for t in counts}
+            _, history, converged = feedback_model_em(counts, p_coll, noise)
+            assert converged
+            assert_exact_mle(counts, index, noise, history[-1])
+
+    @pytest.mark.parametrize(
+        "counts, cf, noise, expected",
+        [
+            # nu = 17.5, and "b" sits exactly on the support boundary: p_b = 0.
+            ({"e": 3, "g": 1, "b": 2, "i": 6, "d": 1, "a": 4, "j": 4, "c": 8},
+             {"e": 2, "g": 5, "b": 4, "i": 3, "d": 4, "a": 5, "j": 3, "c": 2,
+              "z": 7}, 0.5,
+             {"c": 14 / 35, "i": 9 / 35, "j": 5 / 35, "e": 4 / 35, "a": 3 / 35}),
+            # "e" and "g" tie on the top c_t / q_t.
+            ({"b": 2, "g": 3, "f": 3, "e": 4},
+             {"b": 8, "g": 6, "f": 8, "e": 8, "z": 27}, 1.0 - 1e-6,
+             {"e": 4 / 7, "g": 3 / 7}),
+        ],
+    )
+    def test_exact_solution_where_em_crawls(self, counts, cf, noise, expected):
+        # EM's log-likelihood levels off here while its probabilities are
+        # still far from the optimum (0.5 against 4/7 on the tie).
+        index = build_index(
+            [Document(t, " ".join([t] * n)) for t, n in sorted(cf.items())]
+        )
+        assert feedback_model(counts, index, noise) == pytest.approx(expected, abs=1e-9)
+        p_coll = {t: index.p_collection(t) for t in counts}
+        _, history, converged = feedback_model_em(counts, p_coll, noise)
+        assert converged
+        assert_exact_mle(counts, index, noise, history[-1])
 
     def test_empty_counts_rejected(self):
         index = build_index([Document("d1", "a")])
         with pytest.raises(ValueError, match="no feedback"):
-            fit_feedback_model({}, index, noise=0.5)
+            feedback_model({}, index, noise=0.5)
+
+    def test_feedback_counts_are_exact(self):
+        # Terms span document frequencies below and above prf_docs, and some
+        # rankings are shorter than prf_docs.
+        rng = random.Random(64)
+        for _ in range(60):
+            docs = random_collection(rng, num_docs=12, vocab="aaaabbbcdefgh", max_len=10)
+            index = build_index(docs)
+            prf_docs = rng.randint(1, 8)
+            ranked = rng.sample([d.doc_id for d in docs], rng.randint(1, 12))
+            ranking = [(doc_id, -float(i)) for i, doc_id in enumerate(ranked)]
+            tokens = {d.doc_id: d.text.split() for d in docs}
+            tally = {}
+            for doc_id in ranked[:prf_docs]:
+                for t in tokens[doc_id]:
+                    tally[t] = tally.get(t, 0) + 1
+            total = sum(tally.values())
+            cfg = RetrievalConfig(prf_docs=prf_docs, prf_terms=len(index.postings),
+                                  prf_lambda=1.0, prf_noise=0.0)
+            expanded = prf_mixture(ranking, index, cfg, query("q", {"zzz": 1.0}))
+            dist = expanded.as_distribution()
+            assert set(dist) == set(tally)
+            for t, c in tally.items():
+                assert dist[t] == pytest.approx(c / total, abs=1e-12)
 
     def test_zero_lambda_returns_query_untouched(self):
         index = build_index([Document("d1", "x x y")])
@@ -213,6 +311,18 @@ class TestFeedback:
             scores = [s for _, s in ranking]
             assert scores == sorted(scores, reverse=True)
 
+
+    def test_top_k_below_prf_docs_keeps_every_feedback_document(self):
+        rng = random.Random(65)
+        docs = random_collection(rng, num_docs=10)
+        index = build_index(docs)
+        q = query("q1", {"a": 0.6, "b": 0.4})
+        cfg = RetrievalConfig(mu=50, top_k=2, prf_docs=6)
+        first = score_kl(q, index, RetrievalConfig(mu=50, prf_docs=6))
+        expanded = prf_mixture(first, index, cfg, q)
+        run = run_queries([q], index, cfg, prf=True)
+        assert run.rankings["q1"] == score_kl(expanded, index, cfg)
+        assert len(run.rankings["q1"]) == 2
 
 class TestRunAndQrelsFiles:
     def test_run_round_trip(self, tmp_path):
