@@ -162,8 +162,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         tokens = corpus_mod.tokenize(doc.text, stop)
         index.add_document(doc.doc_id, tokens)
         cooc.add_document(tokens)
-    corpus_mod.save_index(index, cfg.index_dir)
-    corpus_mod.save_cooccurrence(cooc, cfg.index_dir)
+    corpus_mod.save_index(index, cooc, cfg.index_dir)
     print(f"indexed {index.num_docs} documents, {len(index.postings)} terms, "
           f"{index.total_tokens} tokens, {cooc.total_windows} windows")
     return 0

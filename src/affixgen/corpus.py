@@ -5,19 +5,23 @@ built from the token stream: an inverted index with document lengths and
 collection frequencies, and each term's token positions, from which sliding
 w-token window counts follow: a token at position p of an n-token document
 lies in the windows starting in [max(0, p - w + 1), min(p, n - w)]. Both
-tables can be written to a snapshot directory and reloaded without loss.
+tables are written as one snapshot, the document lengths and the positions
+described by one manifest, and each reloads from it without loss: term
+frequencies are position counts, and documents are numbered by their line in
+the lengths file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # A token is a maximal run of Unicode letters; digits, underscores and
 # punctuation all act as separators.
@@ -126,14 +130,16 @@ class CooccurrenceTable:
     """Sliding-window co-occurrence counts, computed from token positions.
 
     Windows of ``window_size`` (w) tokens advance one token at a time within
-    each document and never cross document boundaries; a document of n <= w
-    tokens holds one window. A window counts each distinct unordered term pair
-    once, and self pairs are excluded. Only the document lengths and each
-    term's ascending positions in each non-empty document are stored
-    (``positions[term][doc]``, documents numbered as added). A term's windows
-    in a document are the union of [max(0, p - w + 1), min(p, n - w)] over its
-    positions p; ``unigram_window_count`` sums the union's size over documents
-    and ``pair_count(a, b)`` the size of two terms' intersection.
+    each document and never cross document boundaries; a document of
+    0 < n <= w tokens holds one window, an empty one none. A window counts
+    each distinct unordered term pair once, and self pairs are excluded.
+    Only the document lengths (``doc_len``, one per document added, empty
+    ones included, so documents are numbered as added) and each term's
+    ascending positions in each document holding it (``positions[term][doc]``)
+    are stored. A term's windows in a document are the union of
+    [max(0, p - w + 1), min(p, n - w)] over its positions p;
+    ``unigram_window_count`` sums the union's size over documents and
+    ``pair_count(a, b)`` the size of two terms' intersection.
     """
 
     def __init__(self, window_size: int) -> None:
@@ -171,20 +177,23 @@ class CooccurrenceTable:
         return count
 
     def add_document(self, tokens: list[str]) -> None:
-        if not tokens:
-            return
+        doc = self._add_length(len(tokens))
         held: dict[str, list[int]] = {}
         for p, term in enumerate(tokens):
             held.setdefault(term, []).append(p)
-        self._add(held, len(tokens))
-
-    def _add(self, held: dict[str, list[int]], n: int) -> None:
-        doc = len(self.doc_len)
-        self.doc_len.append(n)
-        self.total_windows += max(0, n - self.window_size) + 1
         for term, positions in held.items():
-            self.positions.setdefault(term, {})[doc] = positions
-            self.unigram_window_count[term] += self._windows(positions, n)
+            self._add_positions(term, doc, positions)
+
+    def _add_length(self, n: int) -> int:
+        """Number the next document, of n tokens, and count its windows."""
+        self.doc_len.append(n)
+        if n:
+            self.total_windows += max(0, n - self.window_size) + 1
+        return len(self.doc_len) - 1
+
+    def _add_positions(self, term: str, doc: int, positions: list[int]) -> None:
+        self.positions.setdefault(term, {})[doc] = positions
+        self.unigram_window_count[term] += self._windows(positions, self.doc_len[doc])
 
 
 @dataclass
@@ -270,100 +279,154 @@ def _read_tsv(text: str, source: str) -> list[Document]:
     return docs
 
 
-def save_index(index: CollectionIndex, directory: str | Path) -> None:
-    """Write the index as sorted TSV files plus a JSON manifest.
+def save_index(
+    index: CollectionIndex, cooc: CooccurrenceTable, directory: str | Path
+) -> None:
+    """Write both tables as one snapshot: two TSV files and the manifest ``index.json``.
 
-    Writes are fully sorted so repeated runs over the same corpus produce
-    byte-identical snapshots.
+    ``doc_lens.tsv`` holds a ``doc_id<TAB>length`` line per document in the
+    order the documents were added; a document's number is its 0-based line
+    there. ``positions.tsv`` holds a sorted ``term<TAB>doc<TAB>p1,p2,...``
+    line per term and document holding it, so repeated runs over the same
+    corpus write byte-identical snapshots; a term frequency is the number of
+    positions. Each file is written beside its target and renamed over it,
+    the manifest ``index.json`` last, which records the data files' sizes.
+    Both tables must have been fed the same documents.
     """
+    if (cooc.doc_len != list(index.doc_len.values())
+            or cooc.positions.keys() != index.postings.keys()):
+        raise ValueError("the index and the co-occurrence table hold different documents")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    file_bytes = {
+        "doc_lens.tsv": _write_atomic(
+            directory / "doc_lens.tsv",
+            (f"{doc_id}\t{n}\n" for doc_id, n in index.doc_len.items())),
+        "positions.tsv": _write_atomic(
+            directory / "positions.tsv",
+            (f"{term}\t{doc}\t{','.join(map(str, positions))}\n"
+             for term in sorted(cooc.positions)
+             for doc, positions in sorted(cooc.positions[term].items()))),
+    }
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": "collection_index",
+        "kind": "snapshot",
         "num_docs": index.num_docs,
         "total_tokens": index.total_tokens,
         "vocabulary_size": len(index.postings),
+        "window_size": cooc.window_size,
+        "total_windows": cooc.total_windows,
         "tokenizer": {"lowercase": True, "token_pattern": _TOKEN_RE.pattern},
+        "file_bytes": file_bytes,
     }
-    _write_json(directory / "index.json", manifest)
-    with open(directory / "postings.tsv", "w", encoding="utf-8") as handle:
-        for term in sorted(index.postings):
-            for doc_id in sorted(index.postings[term]):
-                handle.write(f"{term}\t{doc_id}\t{index.postings[term][doc_id]}\n")
-    with open(directory / "doc_lens.tsv", "w", encoding="utf-8") as handle:
-        for doc_id in sorted(index.doc_len):
-            handle.write(f"{doc_id}\t{index.doc_len[doc_id]}\n")
+    text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    _write_atomic(directory / "index.json", [text])
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
+    """Read a snapshot's index; a term frequency is the term's position count."""
     directory = Path(directory)
-    manifest = _read_json(directory / "index.json", "collection_index")
+    manifest, doc_ids, lens = _read_snapshot(directory)
     index = CollectionIndex()
-    with open(directory / "doc_lens.tsv", encoding="utf-8") as handle:
-        for line in handle:
-            doc_id, length = line.rstrip("\n").split("\t")
-            index.doc_len[doc_id] = int(length)
-            index.total_tokens += int(length)
-    with open(directory / "postings.tsv", encoding="utf-8") as handle:
-        for line in handle:
-            term, doc_id, count = line.rstrip("\n").split("\t")
-            index.postings.setdefault(term, {})[doc_id] = int(count)
-            index.collection_freq[term] += int(count)
-    if index.num_docs != manifest["num_docs"]:
-        raise ValueError(f"{directory}: document count mismatch against manifest")
-    if index.total_tokens != manifest["total_tokens"]:
-        raise ValueError(f"{directory}: token count mismatch against manifest")
-    if len(index.postings) != manifest["vocabulary_size"]:
-        raise ValueError(f"{directory}: vocabulary size mismatch against manifest")
+    index.doc_len = dict(zip(doc_ids, lens))
+    index.total_tokens = sum(lens)
+    postings = index.postings
+    for _, term, doc, positions in _position_rows(directory, len(doc_ids)):
+        postings.setdefault(term, {})[doc_ids[doc]] = positions.count(",") + 1
+    index.collection_freq.update({term: sum(tfs.values()) for term, tfs in postings.items()})
+    # A repeated document id merges two documents.
+    _check_count(directory, manifest, "num_docs", index.num_docs)
+    _check_count(directory, manifest, "total_tokens", sum(index.collection_freq.values()))
+    _check_count(directory, manifest, "vocabulary_size", len(postings))
     return index
 
 
-def save_cooccurrence(table: CooccurrenceTable, directory: str | Path) -> None:
-    """Write the window size and count plus ``term<TAB>doc<TAB>p1,p2,...`` lines."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "cooccurrence",
-        "window_size": table.window_size,
-        "total_windows": table.total_windows,
-    }
-    _write_json(directory / "cooccurrence.json", manifest)
-    with open(directory / "positions.tsv", "w", encoding="utf-8") as handle:
-        for term in sorted(table.positions):
-            for doc, positions in sorted(table.positions[term].items()):
-                handle.write(f"{term}\t{doc}\t{','.join(map(str, positions))}\n")
-
-
 def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
+    """Read a snapshot's positions; document lengths come from ``doc_lens.tsv``."""
     directory = Path(directory)
-    manifest = _read_json(directory / "cooccurrence.json", "cooccurrence")
-    held_by_doc: dict[int, dict[str, list[int]]] = {}
-    with open(directory / "positions.tsv", encoding="utf-8") as handle:
-        for line in handle:
-            term, doc, positions = line.rstrip("\n").split("\t")
-            held_by_doc.setdefault(int(doc), {})[term] = list(map(int, positions.split(",")))
+    manifest, _, lens = _read_snapshot(directory)
     table = CooccurrenceTable(manifest["window_size"])
-    # Every position of a document holds a token, so its last one gives its length.
-    for _, held in sorted(held_by_doc.items()):
-        table._add(held, 1 + max(positions[-1] for positions in held.values()))
-    if table.total_windows != manifest["total_windows"]:
-        raise ValueError(f"{directory}: window count mismatch against manifest")
+    for n in lens:
+        table._add_length(n)
+    path, tokens = directory / "positions.tsv", 0
+    for lineno, term, doc, text in _position_rows(directory, len(lens)):
+        try:
+            positions = list(map(int, text.split(",")))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: positions {text!r} "
+                             f"are not comma-separated integers") from None
+        if positions[-1] >= lens[doc]:
+            raise ValueError(f"{path}: line {lineno}: position {positions[-1]} is not "
+                             f"below the length {lens[doc]} of document {doc}")
+        table._add_positions(term, doc, positions)
+        tokens += len(positions)
+    _check_count(directory, manifest, "total_tokens", tokens)
+    _check_count(directory, manifest, "vocabulary_size", len(table.positions))
+    _check_count(directory, manifest, "total_windows", table.total_windows)
     return table
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+def _write_atomic(path: Path, lines: Iterable[str]) -> int:
+    """Write lines beside ``path`` under a temporary name, rename, and return the size."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path.stat().st_size
 
 
-def _read_json(path: Path, expected_kind: str) -> dict:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("kind") != expected_kind:
-        raise ValueError(f"{path}: expected {expected_kind} snapshot")
-    if payload.get("format_version") != FORMAT_VERSION:
+def _read_snapshot(directory: Path) -> tuple[dict, list[str], list[int]]:
+    """The checked manifest, and the ids and lengths of ``doc_lens.tsv`` in line order."""
+    path = directory / "index.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version")
-    return payload
+    if manifest.get("kind") != "snapshot":
+        raise ValueError(f"{path}: not a snapshot manifest")
+    for name in ("doc_lens.tsv", "positions.tsv"):
+        size, actual = manifest["file_bytes"].get(name), (directory / name).stat().st_size
+        if actual != size:
+            raise ValueError(f"{directory / name}: size mismatch against manifest: "
+                             f"{actual} bytes, recorded {size}")
+    path = directory / "doc_lens.tsv"
+    doc_ids, lens = [], []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            try:
+                doc_id, length = line.rstrip("\n").split("\t")
+                lens.append(int(length))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected a document id, "
+                                 f"a tab, then its length") from None
+            doc_ids.append(doc_id)
+    _check_count(directory, manifest, "num_docs", len(lens))
+    _check_count(directory, manifest, "total_tokens", sum(lens))
+    return manifest, doc_ids, lens
+
+
+def _position_rows(directory: Path, num_docs: int) -> Iterator[tuple[int, str, int, str]]:
+    """(line number, term, document number, positions) of each ``positions.tsv`` line."""
+    path = directory / "positions.tsv"
+    numbers = {str(doc): doc for doc in range(num_docs)}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected a term, a document "
+                                 f"number and positions, tab-separated")
+            term, doc, positions = fields
+            number = numbers.get(doc)
+            if number is None:
+                raise ValueError(f"{path}: line {lineno}: document number {doc!r} is not "
+                                 f"a line of doc_lens.tsv (0 to {num_docs - 1})")
+            yield lineno, term, number, positions
+
+
+def _check_count(directory: Path, manifest: dict, key: str, value: int) -> None:
+    if value != manifest[key]:
+        raise ValueError(f"{directory}: {key} mismatch against manifest: "
+                         f"read {value}, recorded {manifest[key]}")

@@ -5,6 +5,15 @@ from types import SimpleNamespace
 import pytest
 
 from affixgen.cli import main
+from affixgen.corpus import (
+    CooccurrenceTable,
+    Document,
+    build_index,
+    load_cooccurrence,
+    load_index,
+    load_stopwords,
+    tokenize,
+)
 from affixgen.config import (
     ExperimentConfig,
     apply_overrides,
@@ -114,13 +123,32 @@ def retrieve(pipe, queries, out):
 class TestCliPipeline:
     def test_index_snapshot_files(self, pipeline):
         names = {p.name for p in pipeline.root.joinpath("snapshot").iterdir()}
-        assert names == {
-            "index.json",
-            "postings.tsv",
-            "doc_lens.tsv",
-            "cooccurrence.json",
-            "positions.tsv",
-        }
+        # No temporary file is left beside them.
+        assert names == {"index.json", "doc_lens.tsv", "positions.tsv"}
+
+    def test_index_with_stopwords_round_trips(self, tmp_path):
+        docs = [Document("d1", "kala talo ja kalat"), Document("d2", "ja on ja"),
+                Document("d3", "talot on kala talo kalat")]
+        corpus, stop = tmp_path / "corpus.tsv", tmp_path / "stop.txt"
+        corpus.write_text("".join(f"{d.doc_id}\t{d.text}\n" for d in docs), encoding="utf-8")
+        stop.write_text("ja\non\n", encoding="utf-8")
+        snap = tmp_path / "snap"
+        assert main(["index", "--corpus", str(corpus), "--stopwords", str(stop),
+                     "--index-dir", str(snap), "--context-window", "2"]) == 0
+
+        stopwords = load_stopwords(stop)
+        index = build_index(docs, stopwords)
+        cooc = CooccurrenceTable(2)
+        for doc in docs:
+            cooc.add_document(tokenize(doc.text, stopwords))
+        assert index.doc_len == {"d1": 3, "d2": 0, "d3": 4}
+        loaded_index, loaded_cooc = load_index(snap), load_cooccurrence(snap)
+        assert loaded_index.postings == index.postings
+        assert loaded_index.doc_len == index.doc_len
+        assert loaded_cooc.doc_len == cooc.doc_len == [3, 0, 4]
+        assert loaded_cooc.positions == cooc.positions
+        assert loaded_cooc.unigram_window_count == cooc.unigram_window_count
+        assert loaded_cooc.total_windows == cooc.total_windows == 5
 
     def test_mined_rules_file(self, pipeline):
         text = open(pipeline.rules_file, encoding="utf-8").read()

@@ -15,7 +15,6 @@ from affixgen.corpus import (
     load_pos_lexicon,
     load_stopwords,
     read_documents,
-    save_cooccurrence,
     save_index,
     tokenize,
 )
@@ -231,72 +230,127 @@ class TestDocumentReaders:
             read_documents(path)
 
 
+def save_snapshot(docs, directory):
+    save_index(build_index(docs), cooccurrence(docs, 3), directory)
+
+
+def rewrite(directory, name, text):
+    """Replace a data file, recording its new size so that only the content is wrong."""
+    (directory / name).write_text(text, encoding="utf-8")
+    manifest = json.loads((directory / "index.json").read_text(encoding="utf-8"))
+    manifest["file_bytes"][name] = (directory / name).stat().st_size
+    (directory / "index.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 class TestSnapshots:
+    DOCS = [Document("d1", "a b c d e f a"), Document("d0", ""), Document("d2", "b c b")]
+
     def test_index_round_trip_and_reproducibility(self, tmp_path):
-        docs = [
-            Document("d1", "apple banana apple"),
-            Document("d2", "banana cherry dates"),
-            Document("d3", ""),
-        ]
-        index = build_index(docs)
+        index = build_index(self.DOCS)
         out = tmp_path / "snap"
-        save_index(index, out)
+        save_index(index, cooccurrence(self.DOCS, 3), out)
         loaded = load_index(out)
         assert loaded.postings == index.postings
         assert loaded.doc_len == index.doc_len
+        assert list(loaded.doc_len) == ["d1", "d0", "d2"]
         assert loaded.collection_freq == index.collection_freq
         assert loaded.total_tokens == index.total_tokens
 
         first = {p.name: p.read_bytes() for p in out.iterdir()}
-        save_index(loaded, out)
-        second = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert first == second
+        save_index(loaded, load_cooccurrence(out), out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_cooccurrence_round_trip(self, tmp_path):
-        docs = [Document("d1", "a b c d e f"), Document("d0", ""), Document("d2", "b c b")]
-        table = cooccurrence(docs, 3)
-        save_cooccurrence(table, tmp_path)
+        table = cooccurrence(self.DOCS, 3)
+        assert table.doc_len == [7, 0, 3]
+        save_index(build_index(self.DOCS), table, tmp_path)
         loaded = load_cooccurrence(tmp_path)
         assert loaded.window_size == table.window_size
         assert loaded.positions == table.positions
         assert loaded.doc_len == table.doc_len
-        assert_counts_match_bruteforce(loaded, docs, "abcdefg")
+        assert loaded.total_windows == table.total_windows == 6
+        assert_counts_match_bruteforce(loaded, self.DOCS, "abcdefg")
 
-        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        save_cooccurrence(loaded, tmp_path)
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
-
-    def test_version_1_cooccurrence_snapshot_refused(self, tmp_path):
-        manifest = {"format_version": 1, "kind": "cooccurrence",
-                    "total_windows": 1, "window_size": 10}
-        (tmp_path / "cooccurrence.json").write_text(json.dumps(manifest), encoding="utf-8")
-        (tmp_path / "pair_windows.tsv").write_text("a\tb\t1\n", encoding="utf-8")
-        (tmp_path / "unigram_windows.tsv").write_text("a\t1\nb\t1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported format version"):
-            load_cooccurrence(tmp_path)
+    def test_version_2_snapshot_refused(self, tmp_path):
+        index = {"format_version": 2, "kind": "collection_index", "num_docs": 1,
+                 "total_tokens": 2, "vocabulary_size": 2, "tokenizer": {}}
+        cooc = {"format_version": 2, "kind": "cooccurrence", "total_windows": 1,
+                "window_size": 10}
+        (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
+        (tmp_path / "cooccurrence.json").write_text(json.dumps(cooc), encoding="utf-8")
+        (tmp_path / "postings.tsv").write_text("a\td1\t1\nb\td1\t1\n", encoding="utf-8")
+        (tmp_path / "doc_lens.tsv").write_text("d1\t2\n", encoding="utf-8")
+        (tmp_path / "positions.tsv").write_text("a\t0\t0\nb\t0\t1\n", encoding="utf-8")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match="unsupported format version"):
+                load(tmp_path)
 
     @pytest.mark.parametrize(
-        "manifest, key, save, load",
+        "key, load",
         [
-            ("index.json", "vocabulary_size", save_index, load_index),
-            ("cooccurrence.json", "total_windows", save_cooccurrence, load_cooccurrence),
+            ("num_docs", load_index),
+            ("num_docs", load_cooccurrence),
+            ("total_tokens", load_index),
+            ("total_tokens", load_cooccurrence),
+            ("vocabulary_size", load_index),
+            ("vocabulary_size", load_cooccurrence),
+            ("total_windows", load_cooccurrence),
         ],
     )
-    def test_manifest_count_checked(self, tmp_path, manifest, key, save, load):
-        docs = [Document("d1", "a b c d"), Document("d2", "b e")]
-        table = build_index(docs) if save is save_index else cooccurrence(docs, 2)
-        save(table, tmp_path)
-        path = tmp_path / manifest
+    def test_manifest_count_checked(self, tmp_path, key, load):
+        save_snapshot(self.DOCS, tmp_path)
+        path = tmp_path / "index.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload[key] += 1
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{tmp_path}.*mismatch"):
+        with pytest.raises(ValueError, match=f"{tmp_path}.*{key} mismatch"):
             load(tmp_path)
 
     def test_manifest_mismatch_detected(self, tmp_path):
-        docs = [Document("d1", "a b")]
-        save_index(build_index(docs), tmp_path)
-        lens = tmp_path / "doc_lens.tsv"
-        lens.write_text("d1\t2\nd9\t3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="mismatch"):
+        save_snapshot([Document("d1", "a b")], tmp_path)
+        (tmp_path / "doc_lens.tsv").write_text("d1\t2\nd9\t3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="doc_lens.tsv: size mismatch"):
             load_index(tmp_path)
+
+    def test_appended_line_fails_size_check(self, tmp_path):
+        save_snapshot([Document("d1", "a b")], tmp_path)
+        with open(tmp_path / "positions.tsv", "a", encoding="utf-8") as handle:
+            handle.write("c\t0\t2\n")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match="positions.tsv: size mismatch"):
+                load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "line, loads, message",
+        [
+            ("z\t0", (load_index, load_cooccurrence), "expected a term"),
+            ("z\t0\t1\textra", (load_index, load_cooccurrence), "expected a term"),
+            ("z\t3\t1", (load_index, load_cooccurrence), "document number '3'"),
+            ("z\t-1\t1", (load_index, load_cooccurrence), "document number '-1'"),
+            ("z\t2\t1,3", (load_cooccurrence,), "position 3 is not below the length 3"),
+        ],
+        ids=["two-fields", "four-fields", "doc-past-end", "doc-negative", "past-doc-end"],
+    )
+    def test_malformed_positions_line_reported(self, tmp_path, line, loads, message):
+        save_snapshot(self.DOCS, tmp_path)
+        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
+        rewrite(tmp_path, "positions.tsv", "\n".join(rows[:2] + [line] + rows[2:]) + "\n")
+        for load in loads:
+            with pytest.raises(ValueError, match=f"positions.tsv: line 3: {message}"):
+                load(tmp_path)
+
+    def test_malformed_doc_lens_line_reported(self, tmp_path):
+        save_snapshot(self.DOCS, tmp_path)
+        rewrite(tmp_path, "doc_lens.tsv", "d1\t7\nd0 0\nd2\t3\n")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match="doc_lens.tsv: line 2: expected a doc"):
+                load(tmp_path)
+
+    def test_tables_from_different_documents_refused(self, tmp_path):
+        other = [Document("d1", "a b c d e f g"), Document("d2", "b c b")]
+        with pytest.raises(ValueError, match="different documents"):
+            save_index(build_index(self.DOCS), cooccurrence(other, 3), tmp_path)
+        same_lengths = [Document(d.doc_id, d.text.replace("b", "x")) for d in self.DOCS]
+        with pytest.raises(ValueError, match="different documents"):
+            save_index(build_index(self.DOCS), cooccurrence(same_lengths, 3), tmp_path)
+        assert list(tmp_path.iterdir()) == []
