@@ -14,6 +14,7 @@ the lengths file.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from collections import Counter
@@ -22,6 +23,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 FORMAT_VERSION = 3
+
+# Data files of a version-2 snapshot that a version-3 one no longer writes.
+_VERSION_2_FILES = ("postings.tsv", "cooccurrence.json")
 
 # A token is a maximal run of Unicode letters; digits, underscores and
 # punctuation all act as separators.
@@ -196,6 +200,27 @@ class CooccurrenceTable:
         self.unigram_window_count[term] += self._windows(positions, self.doc_len[doc])
 
 
+class PairCountMemo(CooccurrenceTable):
+    """A view of a table that counts each unordered pair at most once.
+
+    It shares the table's data, and remembers every pair count it computes,
+    so it is made for one query and dropped with it; a memo kept for a whole
+    run would grow with every pair any query touched.
+    """
+
+    def __init__(self, table: CooccurrenceTable) -> None:
+        vars(self).update(vars(table))
+        self._count = table.pair_count
+        self._counts: dict[tuple[str, str], int] = {}
+
+    def pair_count(self, a: str, b: str) -> int:
+        key = (a, b) if a <= b else (b, a)
+        count = self._counts.get(key)
+        if count is None:
+            count = self._counts[key] = self._count(*key)
+        return count
+
+
 @dataclass
 class PosLexicon:
     """Term to part-of-speech mapping with an unknown-tag fallback."""
@@ -290,8 +315,9 @@ def save_index(
     line per term and document holding it, so repeated runs over the same
     corpus write byte-identical snapshots; a term frequency is the number of
     positions. Each file is written beside its target and renamed over it,
-    the manifest ``index.json`` last, which records the data files' sizes.
-    Both tables must have been fed the same documents.
+    the manifest ``index.json`` last, which records the data files' sizes;
+    then the files of a version-2 snapshot, if any, are removed. Both tables
+    must have been fed the same documents.
     """
     if (cooc.doc_len != list(index.doc_len.values())
             or cooc.positions.keys() != index.postings.keys()):
@@ -321,6 +347,8 @@ def save_index(
     }
     text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     _write_atomic(directory / "index.json", [text])
+    for stale in _VERSION_2_FILES:
+        (directory / stale).unlink(missing_ok=True)
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
@@ -342,7 +370,11 @@ def load_index(directory: str | Path) -> CollectionIndex:
 
 
 def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
-    """Read a snapshot's positions; document lengths come from ``doc_lens.tsv``."""
+    """Read a snapshot's positions; document lengths come from ``doc_lens.tsv``.
+
+    Each row's positions must be strictly ascending, from 0 up to below its
+    document's length.
+    """
     directory = Path(directory)
     manifest, _, lens = _read_snapshot(directory)
     table = CooccurrenceTable(manifest["window_size"])
@@ -355,6 +387,10 @@ def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: positions {text!r} "
                              f"are not comma-separated integers") from None
+        if positions[0] < 0 or (len(positions) > 1
+                                and not all(map(operator.lt, positions, positions[1:]))):
+            raise ValueError(f"{path}: line {lineno}: positions {text!r} are not "
+                             f"strictly ascending from 0 or more")
         if positions[-1] >= lens[doc]:
             raise ValueError(f"{path}: line {lineno}: position {positions[-1]} is not "
                              f"below the length {lens[doc]} of document {doc}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import CollectionIndex, CooccurrenceTable
+from .corpus import CollectionIndex, CooccurrenceTable, PairCountMemo
 from .morphgen import (
     FormationCandidate,
     FormationGenerator,
@@ -427,10 +427,13 @@ def build_weighted_query(
 
     Every query term contributes equal mass, split among its candidates by
     the weighting method. In ``split`` mode each weighted candidate is then
-    replaced by its character n-grams, which share its weight equally.
+    replaced by its character n-grams, which share its weight equally. Each
+    co-occurrence pair is counted at most once per query.
     """
     if not terms:
         raise ValueError(f"query {query_id!r} has no terms")
+    if cooc is not None:
+        cooc = PairCountMemo(cooc)  # the context filter and the weighting share it
     sets = build_candidate_sets(
         terms, dictionary, mode=mode, generator=generator, cooc=cooc, stemmer=stemmer
     )

@@ -102,10 +102,10 @@ class FormationGenerator:
     """Reusable generator over a fixed vocabulary and rule table.
 
     The vocabulary's character-count prefilter, the one rule mining uses, is
-    built once. Per-word generation then costs one vectorized filter pass
-    plus one banded alignment per survivor, which gives both the unit-cost
-    distance the length floor reads and the rule; the rule is traced only
-    for candidates that clear the floor.
+    built once. Per-word generation then costs one merge of the word's
+    per-character inverted lists plus one banded alignment per survivor,
+    which gives both the unit-cost distance the length floor reads and the
+    rule; the rule is traced only for candidates that clear the floor.
     """
 
     def __init__(

@@ -10,7 +10,9 @@ One banded alignment (Ukkonen's cutoff: only cells within ``k`` of the
 diagonal are filled) gives both the distance and, by tracing back over its
 rows, the rule. One character-count prefilter (``CharSignatures``) narrows
 the vocabulary to the words that can lie within ``k`` before any alignment
-runs; rule mining and formation generation share both.
+runs; it reads per-character inverted lists, so a query costs the length
+of its characters' lists rather than vocabulary size times alphabet size.
+Rule mining and formation generation share both.
 
 Each action records its operation, the character involved, and a coarse
 position. Positions are assigned while walking the alignment left to right:
@@ -208,41 +210,43 @@ def invert_rule(rule: TransformationRule, pos_tag: str | None = None) -> Transfo
     return TransformationRule(flipped, rule.pos_tag if pos_tag is None else pos_tag)
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 class CharSignatures:
-    """Character-count vectors of a word list, for the indel prefilter.
+    """Inverted character-count lists of a word list, for the indel prefilter.
 
     The L1 distance between two words' character counts never exceeds their
     indel distance, so ``within`` keeps every word a distance search needs.
+    For each character c and each j >= 1, the ascending rows holding at least
+    j copies of c are kept; merging w's lists (ScanCount) gives each row's
+    multiset overlap with w, and L1 = len(s) + len(w) - 2 * overlap. This is
+    the q-gram count filter of Gravano et al. (VLDB 2001) with q = 1.
     """
 
     def __init__(self, words: Sequence[str]) -> None:
-        alphabet = sorted({c for word in words for c in word})
-        char_index = {c: i for i, c in enumerate(alphabet)}
-        sig = np.zeros((len(words), max(len(alphabet), 1)), dtype=np.int16)
+        lists: dict[tuple[str, int], list[int]] = {}
         for row, word in enumerate(words):
+            seen: dict[str, int] = {}
             for c in word:
-                sig[row, char_index[c]] += 1
-        self._char_index, self._sig = char_index, sig
-        # Reused by every call: a fresh rows-by-alphabet temporary per call
-        # goes back to the OS when freed and page-faults in again.
-        self._diff = np.empty_like(sig)
+                j = seen[c] = seen.get(c, 0) + 1
+                lists.setdefault((c, j), []).append(row)
+        self._rows = {key: np.array(rows, dtype=np.intp) for key, rows in lists.items()}
+        self._lens = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
 
     def within(self, w: str, k: int, start: int = 0) -> np.ndarray:
         """Rows from ``start`` on whose counts lie within L1 distance ``k`` of ``w``.
 
         Characters of ``w`` outside the word list's alphabet count one each.
+        The work is the length of w's lists plus a few passes over the rows.
         """
-        vec = np.zeros(self._sig.shape[1], dtype=np.int16)
-        unknown = 0
-        for c in w:
-            idx = self._char_index.get(c)
-            if idx is None:
-                unknown += 1
-            else:
-                vec[idx] += 1
-        diff = np.subtract(self._sig[start:], vec, out=self._diff[start:])
-        l1 = np.abs(diff, out=diff).sum(axis=1) + unknown
-        return np.nonzero(l1 <= k)[0] + start
+        rows = self._rows
+        hits = [rows[c, j] for c, n in Counter(w).items()
+                for j in range(1, n + 1) if (c, j) in rows]
+        overlap = np.bincount(np.concatenate([_NO_ROWS, *hits]), minlength=len(self._lens))
+        # L1 = len(s) + len(w) - 2 * overlap <= k
+        excess = self._lens[start:] - 2 * overlap[start:]
+        return np.nonzero(excess <= k - len(w))[0] + start
 
 
 @dataclass

@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
+from affixgen.corpus import UNKNOWN_TAG
+from affixgen.morphgen import FormationCandidate
 from affixgen.rules import (
     BEGIN,
     DELETE,
@@ -165,6 +169,55 @@ def mine_rules_bruteforce(vocab, tagger, k_max: int):
     total = sum(counts.values())
     probs = {rule: c / total for rule, c in counts.items()} if total else {}
     return counts, probs
+
+
+def char_count_within_dense(words, w, k, start=0):
+    """Rows from ``start`` on whose character counts lie within L1 ``k`` of ``w``.
+
+    One dense rows-by-alphabet count matrix and one L1 per row; characters
+    of ``w`` outside the words' alphabet count one each.
+    """
+    alphabet = sorted({c for word in words for c in word})
+    char_index = {c: i for i, c in enumerate(alphabet)}
+    sig = np.zeros((len(words), max(len(alphabet), 1)), dtype=np.int16)
+    for row, word in enumerate(words):
+        for c in word:
+            sig[row, char_index[c]] += 1
+    vec = np.zeros(sig.shape[1], dtype=np.int16)
+    unknown = 0
+    for c in w:
+        if c in char_index:
+            vec[char_index[c]] += 1
+        else:
+            unknown += 1
+    l1 = np.abs(sig[start:] - vec).sum(axis=1) + unknown
+    return np.nonzero(l1 <= k)[0] + start
+
+
+def generate_formations_bruteforce(w, vocab, rules, cfg, k_max, tag=UNKNOWN_TAG,
+                                   distance=indel_distance_lcs):
+    """Formations of ``w`` from the definitions, scanning the whole vocabulary.
+
+    Every other vocabulary word ``s`` at indel distance ``d`` in
+    ``[1, k_max]`` (the LCS identity; ``distance`` may stand in for it if
+    it agrees up to ``k_max`` and exceeds ``k_max`` beyond), at least
+    ``cfg.min_len[d]`` long, whose canonical rule has probability at least
+    ``cfg.rule_prob_threshold``; sorted by descending probability, then
+    surface. No prefilter and no banded alignment.
+    """
+    out = []
+    for s in sorted(set(vocab)):
+        if s == w:
+            continue
+        d = distance(w, s)
+        if d > k_max or len(s) < cfg.min_len[d]:
+            continue
+        rule = TransformationRule(canonical_action_list(w, s), tag)
+        prob = rules.prob(rule)
+        if prob >= cfg.rule_prob_threshold:
+            out.append(FormationCandidate(s, w, rule, prob))
+    out.sort(key=lambda c: (-c.prob, c.surface))
+    return out
 
 
 def window_cooccurrence_bruteforce(token_docs, window_size):

@@ -8,6 +8,7 @@ import pytest
 from affixgen.corpus import (
     CooccurrenceTable,
     Document,
+    PairCountMemo,
     StopwordList,
     build_index,
     load_cooccurrence,
@@ -132,6 +133,37 @@ class TestCooccurrence:
         table = cooccurrence([Document("d", "a b a b")], 4)
         assert table.pair_count("a", "b") == 1
 
+    def test_pair_count_memo_matches_the_table(self):
+        rng = random.Random(23)
+        table = CooccurrenceTable(4)
+        for _ in range(30):
+            table.add_document([rng.choice("abcdefg") for _ in range(rng.randint(0, 12))])
+        memo = PairCountMemo(table)
+        for a in "abcdefgz":
+            for b in "abcdefgz":
+                assert memo.pair_count(a, b) == table.pair_count(a, b) == table.pair_count(b, a)
+        assert memo.positions is table.positions
+        assert memo.unigram_window_count is table.unigram_window_count
+        assert (memo.window_size, memo.total_windows, memo.doc_len) == (
+            table.window_size, table.total_windows, table.doc_len)
+        assert not hasattr(table, "_counts")
+
+    def test_pair_count_memo_counts_each_unordered_pair_once(self):
+        calls = []
+
+        class CountingTable(CooccurrenceTable):
+            def pair_count(self, a, b):
+                calls.append((a, b))
+                return super().pair_count(a, b)
+
+        table = CountingTable(3)
+        table.add_document(["a", "b", "c", "d"])
+        memo = PairCountMemo(table)
+        assert [memo.pair_count(*p) for p in ("ab", "ba", "ab", "cb", "bc")] == [1, 1, 1, 2, 2]
+        assert calls == [("a", "b"), ("b", "c")]
+        assert PairCountMemo(table).pair_count("b", "a") == 1  # a new memo starts empty
+        assert calls[-1] == ("a", "b")
+
     def test_invalid_window_size(self):
         with pytest.raises(ValueError, match="window_size"):
             CooccurrenceTable(0)
@@ -242,6 +274,19 @@ def rewrite(directory, name, text):
     (directory / "index.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
+def write_version_2_snapshot(directory):
+    """The five files of a two-token version-2 snapshot."""
+    index = {"format_version": 2, "kind": "collection_index", "num_docs": 1,
+             "total_tokens": 2, "vocabulary_size": 2, "tokenizer": {}}
+    cooc = {"format_version": 2, "kind": "cooccurrence", "total_windows": 1,
+            "window_size": 10}
+    (directory / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    (directory / "cooccurrence.json").write_text(json.dumps(cooc), encoding="utf-8")
+    (directory / "postings.tsv").write_text("a\td1\t1\nb\td1\t1\n", encoding="utf-8")
+    (directory / "doc_lens.tsv").write_text("d1\t2\n", encoding="utf-8")
+    (directory / "positions.tsv").write_text("a\t0\t0\nb\t0\t1\n", encoding="utf-8")
+
+
 class TestSnapshots:
     DOCS = [Document("d1", "a b c d e f a"), Document("d0", ""), Document("d2", "b c b")]
 
@@ -272,18 +317,17 @@ class TestSnapshots:
         assert_counts_match_bruteforce(loaded, self.DOCS, "abcdefg")
 
     def test_version_2_snapshot_refused(self, tmp_path):
-        index = {"format_version": 2, "kind": "collection_index", "num_docs": 1,
-                 "total_tokens": 2, "vocabulary_size": 2, "tokenizer": {}}
-        cooc = {"format_version": 2, "kind": "cooccurrence", "total_windows": 1,
-                "window_size": 10}
-        (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
-        (tmp_path / "cooccurrence.json").write_text(json.dumps(cooc), encoding="utf-8")
-        (tmp_path / "postings.tsv").write_text("a\td1\t1\nb\td1\t1\n", encoding="utf-8")
-        (tmp_path / "doc_lens.tsv").write_text("d1\t2\n", encoding="utf-8")
-        (tmp_path / "positions.tsv").write_text("a\t0\t0\nb\t0\t1\n", encoding="utf-8")
+        write_version_2_snapshot(tmp_path)
         for load in (load_index, load_cooccurrence):
             with pytest.raises(ValueError, match="unsupported format version"):
                 load(tmp_path)
+
+    def test_saving_over_a_version_2_snapshot_removes_its_files(self, tmp_path):
+        write_version_2_snapshot(tmp_path)
+        save_snapshot(self.DOCS, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "index.json", "doc_lens.tsv", "positions.tsv"}
+        assert load_cooccurrence(tmp_path).doc_len == [7, 0, 3]
 
     @pytest.mark.parametrize(
         "key, load",
@@ -338,6 +382,17 @@ class TestSnapshots:
         for load in loads:
             with pytest.raises(ValueError, match=f"positions.tsv: line 3: {message}"):
                 load(tmp_path)
+
+    @pytest.mark.parametrize("positions", ["6,0", "0,0,6", "0,6,6", "-1,6", "-1"])
+    def test_positions_not_strictly_ascending_rejected(self, tmp_path, positions):
+        # "a" is at 0 and 6 of the first document, on the first line.
+        save_snapshot(self.DOCS, tmp_path)
+        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "a\t0\t0,6"
+        rewrite(tmp_path, "positions.tsv", "\n".join([f"a\t0\t{positions}"] + rows[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"positions.tsv: line 1: positions '{positions}' "
+                                             f"are not strictly ascending"):
+            load_cooccurrence(tmp_path)
 
     def test_malformed_doc_lens_line_reported(self, tmp_path):
         save_snapshot(self.DOCS, tmp_path)

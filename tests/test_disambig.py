@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from affixgen import disambig
 from affixgen.corpus import CooccurrenceTable, Document, build_index
 from affixgen.disambig import (
     JOINT,
@@ -570,6 +571,40 @@ class TestWeightedQueries:
         assert q.as_distribution() == pytest.approx({"gato": 0.5, "gatos": 0.5})
         prov = {qt.term: qt.provenance for qt in q.terms}
         assert prov == {"gato": PROV_DICTIONARY, "gatos": PROV_FORMATION}
+
+    def test_pair_counts_shared_within_a_query(self, monkeypatch):
+        calls = []
+        count = CooccurrenceTable.pair_count
+
+        def counting(self, a, b):
+            calls.append(frozenset((a, b)))
+            return count(self, a, b)
+
+        rng = random.Random(43)
+        words = ["gato", "gatos", "perro", "perros", "luna", "lunas", "sol"]
+        table = CooccurrenceTable(4)
+        for _ in range(20):
+            table.add_document([rng.choice(words) for _ in range(6)])
+        cfg = NoiseFilterConfig(context_window=4, min_len={1: 1, 2: 1, 3: 1})
+        gen = StubGenerator({"gato": [formation("gatos", "gato")],
+                             "perro": [formation("perros", "perro")],
+                             "luna": [formation("lunas", "luna")]}, cfg)
+        d = BilingualDictionary({"cat": ["gato", "sol"], "dog": ["perro"], "moon": ["luna"]})
+
+        def query():
+            return build_weighted_query("7", ["cat", "dog", "moon"], d, mode="ag",
+                                        weighting="itd", generator=gen, cooc=table)
+
+        monkeypatch.setattr(CooccurrenceTable, "pair_count", counting)
+        with pytest.MonkeyPatch.context() as plain:
+            plain.setattr(disambig, "PairCountMemo", lambda t: t)
+            want = query()
+        assert len(calls) > len(set(calls))  # without the memo pairs repeat
+        assert any(qt.provenance == PROV_FORMATION for qt in want.terms)
+        for _ in range(2):  # each query starts from an empty memo
+            calls.clear()
+            assert query() == want
+            assert len(calls) == len(set(calls)) > 0
 
     def test_distribution_sums_to_one(self):
         rng = random.Random(41)

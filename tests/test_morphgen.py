@@ -1,10 +1,11 @@
 """Rule application, vocabulary-constrained generation, and noise filters."""
 
+import itertools
 import random
 
 import pytest
 
-from affixgen.corpus import CooccurrenceTable, PosLexicon
+from affixgen.corpus import CooccurrenceTable, PosLexicon, build_index
 from affixgen.morphgen import (
     FormationCandidate,
     FormationGenerator,
@@ -26,6 +27,8 @@ from affixgen.rules import (
     mine_rules,
     score_rules,
 )
+from oracles import generate_formations_bruteforce, indel_distance_lcs
+from synthcorpus import build_world
 
 
 def rule_of(*actions, tag="UNK"):
@@ -147,6 +150,35 @@ class TestFormationGenerator:
         gen = FormationGenerator(vocab, rules, cfg=cfg)
         for w in sorted(vocab)[:15]:
             assert gen.generate(w) == generate_formations(w, vocab, rules, cfg=cfg)
+
+    def test_generate_matches_bruteforce_on_the_synthetic_world(self):
+        vocab = sorted(build_index(build_world().documents).vocabulary)
+        rules = mine_rules(vocab)
+        gen_zero = FormationGenerator(vocab, rules, cfg=NoiseFilterConfig(rule_prob_threshold=0.0))
+        gen_default = FormationGenerator(vocab, rules)
+        k = rules.k_max
+        # Two words lie within indel distance k exactly when deleting at most
+        # k characters in all from the two leaves a common subsequence.
+        holders: dict[str, set[str]] = {}
+        for word in vocab:
+            for kept in range(max(0, len(word) - k), len(word) + 1):
+                for idx in itertools.combinations(range(len(word)), kept):
+                    holders.setdefault("".join(word[i] for i in idx), set()).add(word)
+        distances = {(a, b): indel_distance_lcs(a, b)
+                     for common, group in holders.items() for a in group for b in group
+                     if a < b and len(a) + len(b) - 2 * len(common) <= k}
+
+        def distance(a, b):  # the LCS identity up to k, and above k beyond it
+            return distances.get((a, b) if a < b else (b, a), k + 1)
+
+        found = 0
+        for gen in (gen_zero, gen_default):
+            for w in vocab:
+                got = gen.generate(w)
+                assert got == generate_formations_bruteforce(
+                    w, vocab, rules, gen.cfg, gen.med.k_max, distance=distance)
+                found += len(got)
+        assert found > 0
 
     def test_tightening_either_knob_only_shrinks(self):
         rng = random.Random(32)

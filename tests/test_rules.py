@@ -27,6 +27,7 @@ from affixgen.rules import (
 from oracles import (
     all_optimal_action_lists,
     canonical_action_list,
+    char_count_within_dense,
     indel_distance_lcs,
     lcs_len,
     mine_rules_bruteforce,
@@ -91,7 +92,7 @@ class TestBandedDistance:
 
 class TestCharSignatures:
     def test_within_matches_character_count_distance(self):
-        # Calls with varying words, starts and k share one work buffer.
+        # Calls with varying words, starts and k reuse one set of lists.
         rng = random.Random(5)
         words = [random_word(rng, "abcde") for _ in range(60)]
         sigs = CharSignatures(words)
@@ -103,6 +104,66 @@ class TestCharSignatures:
                 if sum(abs(w.count(c) - words[row].count(c)) for c in "abcdex") <= k
             ]
             assert sigs.within(w, k, start).tolist() == expected
+
+    @staticmethod
+    def assert_matches_dense(words, w, k, start=0):
+        got = CharSignatures(words).within(w, k, start)
+        want = char_count_within_dense(words, w, k, start)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_within_matches_dense_oracle(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            alphabet = rng.choice(["ab", "abcde", "aäöüß", "кот", "abcdefghij"])
+            words = [random_word(rng, alphabet, 0, 9) for _ in range(rng.randint(1, 50))]
+            sigs = CharSignatures(words)
+            for _ in range(25):
+                # "xé" lie outside every alphabet above.
+                w = random_word(rng, alphabet + "xé", 0, 12)
+                k, start = rng.randint(0, 5), rng.randint(0, len(words))
+                want = char_count_within_dense(words, w, k, start)
+                got = sigs.within(w, k, start)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+
+    def test_characters_outside_the_alphabet_count_one_each(self):
+        words = ["ab", "abc", "b", ""]
+        for w in ("xy", "abx", "éé", "x"):
+            for k in range(5):
+                self.assert_matches_dense(words, w, k)
+        # x counts one: "ab" lies 1 away, "abc" and "b" 2, "" 3.
+        assert CharSignatures(words).within("abx", 2).tolist() == [0, 1, 2]
+
+    def test_more_copies_than_any_word(self):
+        words = ["aab", "ab", "ba", "aaab", "b"]
+        for k in range(7):
+            self.assert_matches_dense(words, "aaaaab", k)
+        # "aaaaab" is 2 from "aaab" (two extra a's) and 3 from "aab".
+        assert CharSignatures(words).within("aaaaab", 3).tolist() == [0, 3]
+
+    def test_empty_word_and_empty_list(self):
+        words = ["", "a", "ab", "abc", "abcd"]
+        for k in range(5):
+            self.assert_matches_dense(words, "", k)
+        assert CharSignatures(words).within("", 2).tolist() == [0, 1, 2]
+        for w in ("", "ab"):
+            self.assert_matches_dense([], w, 3)
+            assert CharSignatures([]).within(w, 3).tolist() == []
+
+    def test_start_at_the_end(self):
+        words = ["ab", "ba", "abc"]
+        for w in ("ab", "", "zz"):
+            self.assert_matches_dense(words, w, 3, start=len(words))
+            assert CharSignatures(words).within(w, 3, len(words)).tolist() == []
+
+    def test_short_words_without_a_shared_character(self):
+        # No overlap at all: only len(w) + len(s) <= k keeps a row.
+        words = ["a", "bc", "d", "efg", "h"]
+        for k in range(6):
+            self.assert_matches_dense(words, "xy", k)
+        assert CharSignatures(words).within("xy", 3).tolist() == [0, 2, 4]
+        assert CharSignatures(words).within("xy", 4).tolist() == [0, 1, 2, 4]
 
 
 class TestExtractRule:
