@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = _command(sub, "index", "Build index and co-occurrence snapshots from a corpus.")
+    p = _command(sub, "index", "Write a corpus's token positions as a snapshot.")
     p.set_defaults(func=cmd_index)
 
     p = _command(sub, "mine-rules", "Mine transformation rules from the index vocabulary.")
@@ -118,10 +118,11 @@ def _command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--emit-config", help="write the effective config here")
+    defaults = ExperimentConfig()
     for section in SECTIONS.values():
         for key in section:
             flag = "--" + key.replace("_", "-")
-            if key in ("prf", "monolingual", "require_context"):
+            if isinstance(getattr(defaults, key), bool):
                 p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
             else:
                 p.add_argument(flag, default=None, metavar="V")
@@ -156,15 +157,12 @@ def cmd_index(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "corpus", "index_dir")
     stop = _load_optional_stopwords(cfg.stopwords)
-    index = corpus_mod.CollectionIndex()
-    cooc = corpus_mod.CooccurrenceTable(cfg.context_window)
-    for doc in corpus_mod.read_documents(cfg.corpus):
-        tokens = corpus_mod.tokenize(doc.text, stop)
-        index.add_document(doc.doc_id, tokens)
-        cooc.add_document(tokens)
-    corpus_mod.save_index(index, cooc, cfg.index_dir)
-    print(f"indexed {index.num_docs} documents, {len(index.postings)} terms, "
-          f"{index.total_tokens} tokens, {cooc.total_windows} windows")
+    documents = corpus_mod.read_documents(cfg.corpus)
+    manifest = corpus_mod.save_index(
+        ((doc.doc_id, corpus_mod.tokenize(doc.text, stop)) for doc in documents),
+        cfg.index_dir)
+    print(f"indexed {manifest['num_docs']} documents, {manifest['vocabulary_size']} terms, "
+          f"{manifest['total_tokens']} tokens")
     return 0
 
 
@@ -269,7 +267,8 @@ def _translation_resources(cfg: ExperimentConfig):
     needs_cooc = cfg.weighting in ("itd", "2g") or (
         cfg.mode == "ag" and cfg.require_context
     )
-    cooc = corpus_mod.load_cooccurrence(cfg.index_dir) if needs_cooc else None
+    cooc = (corpus_mod.load_cooccurrence(cfg.index_dir, cfg.context_window)
+            if needs_cooc else None)
     generator = None
     if cfg.mode == "ag":
         _require(cfg, "rules_file")
@@ -373,7 +372,7 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
         raise ValueError("tuning needs at least 2 folds")
     qrels = load_qrels(cfg.qrels)
     topics, dictionary, index, cooc, base, stemmer = _translation_resources(cfg)
-    cooc = cooc or corpus_mod.load_cooccurrence(cfg.index_dir)
+    cooc = cooc or corpus_mod.load_cooccurrence(cfg.index_dir, cfg.context_window)
 
     usable = [(qid, title) for qid, title in topics if qrels.relevant.get(qid)]
     if len(usable) < args.folds:
@@ -385,7 +384,7 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     rcfg = _retrieval_config(cfg)
 
     def run_map(topic_subset, tau: float, min_len: str) -> float:
-        variant = replace_noise(cfg, tau, min_len)
+        variant = replace(cfg, rule_prob_threshold=tau, min_len=min_len)
         generator = FormationGenerator(
             index.vocabulary, base.rules, base.tagger, _noise_config(variant),
             MedConfig(k_max=cfg.k_max),
@@ -423,10 +422,6 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(report + "\n", encoding="utf-8")
     return 0
-
-
-def replace_noise(cfg: ExperimentConfig, tau: float, min_len: str) -> ExperimentConfig:
-    return replace(cfg, rule_prob_threshold=tau, min_len=min_len)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Corpus ingestion: tokenization, collection statistics, and co-occurrence counts.
 
-Documents are tokenized into lowercase letter runs. Two statistics tables are
-built from the token stream: an inverted index with document lengths and
-collection frequencies, and each term's token positions, from which sliding
-w-token window counts follow: a token at position p of an n-token document
-lies in the windows starting in [max(0, p - w + 1), min(p, n - w)]. Both
-tables are written as one snapshot, the document lengths and the positions
-described by one manifest, and each reloads from it without loss: term
-frequencies are position counts, and documents are numbered by their line in
-the lengths file.
+Documents are tokenized into lowercase letter runs. A snapshot stores only
+what the corpus determines: each document's length and each term's token
+positions, described by one manifest. Two tables are read from it: an
+inverted index with document lengths and collection frequencies (a term
+frequency is a position count, and documents are numbered by their line in
+the lengths file), and sliding w-token window counts for the window the
+reader asks for: a token at position p of an n-token document lies in the
+windows starting in [max(0, p - w + 1), min(p, n - w)].
 """
 
 from __future__ import annotations
@@ -22,9 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-FORMAT_VERSION = 3
+from .config import ExperimentConfig
 
-# Data files of a version-2 snapshot that a version-3 one no longer writes.
+FORMAT_VERSION = 4
+
+# Data files of a version-2 snapshot that later versions no longer write.
 _VERSION_2_FILES = ("postings.tsv", "cooccurrence.json")
 
 # A token is a maximal run of Unicode letters; digits, underscores and
@@ -182,10 +183,7 @@ class CooccurrenceTable:
 
     def add_document(self, tokens: list[str]) -> None:
         doc = self._add_length(len(tokens))
-        held: dict[str, list[int]] = {}
-        for p, term in enumerate(tokens):
-            held.setdefault(term, []).append(p)
-        for term, positions in held.items():
+        for term, positions in _group_positions(tokens).items():
             self._add_positions(term, doc, positions)
 
     def _add_length(self, n: int) -> int:
@@ -198,6 +196,14 @@ class CooccurrenceTable:
     def _add_positions(self, term: str, doc: int, positions: list[int]) -> None:
         self.positions.setdefault(term, {})[doc] = positions
         self.unigram_window_count[term] += self._windows(positions, self.doc_len[doc])
+
+
+def _group_positions(tokens: list[str]) -> dict[str, list[int]]:
+    """Each term of one document's tokens, with its ascending positions."""
+    held: dict[str, list[int]] = {}
+    for p, term in enumerate(tokens):
+        held.setdefault(term, []).append(p)
+    return held
 
 
 class PairCountMemo(CooccurrenceTable):
@@ -229,10 +235,6 @@ class PosLexicon:
 
     def tag_of(self, term: str) -> str:
         return self.tags.get(term, UNKNOWN_TAG)
-
-    @property
-    def tagset(self) -> set[str]:
-        return set(self.tags.values()) | {UNKNOWN_TAG}
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
@@ -304,44 +306,47 @@ def _read_tsv(text: str, source: str) -> list[Document]:
     return docs
 
 
-def save_index(
-    index: CollectionIndex, cooc: CooccurrenceTable, directory: str | Path
-) -> None:
-    """Write both tables as one snapshot: two TSV files and the manifest ``index.json``.
+def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path) -> dict:
+    """Write documents' tokens as a snapshot: two TSV files and the manifest ``index.json``.
 
-    ``doc_lens.tsv`` holds a ``doc_id<TAB>length`` line per document in the
-    order the documents were added; a document's number is its 0-based line
-    there. ``positions.tsv`` holds a sorted ``term<TAB>doc<TAB>p1,p2,...``
-    line per term and document holding it, so repeated runs over the same
-    corpus write byte-identical snapshots; a term frequency is the number of
-    positions. Each file is written beside its target and renamed over it,
-    the manifest ``index.json`` last, which records the data files' sizes;
-    then the files of a version-2 snapshot, if any, are removed. Both tables
-    must have been fed the same documents.
+    ``documents`` yields ``(doc_id, tokens)`` pairs, read once; a repeated
+    document id raises ValueError before any file is written. ``doc_lens.tsv``
+    holds a ``doc_id<TAB>length`` line per document in the order given; a
+    document's number is its 0-based line there. ``positions.tsv`` holds a
+    sorted ``term<TAB>doc<TAB>p1,p2,...`` line per term and document holding
+    it, so repeated runs over the same corpus write byte-identical snapshots;
+    a term frequency is the number of positions. No window is stored: readers
+    count windows of the size they are given. Each file is written beside its
+    target and renamed over it, the manifest ``index.json`` last, which
+    records the data files' sizes; then the files of a version-2 snapshot, if
+    any, are removed. Returns the manifest.
     """
-    if (cooc.doc_len != list(index.doc_len.values())
-            or cooc.positions.keys() != index.postings.keys()):
-        raise ValueError("the index and the co-occurrence table hold different documents")
+    doc_len: dict[str, int] = {}
+    positions: dict[str, dict[int, list[int]]] = {}
+    for doc_id, tokens in documents:
+        if doc_id in doc_len:
+            raise ValueError(f"duplicate document identifier: {doc_id!r}")
+        doc = len(doc_len)
+        doc_len[doc_id] = len(tokens)
+        for term, held in _group_positions(tokens).items():
+            positions.setdefault(term, {})[doc] = held
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     file_bytes = {
         "doc_lens.tsv": _write_atomic(
             directory / "doc_lens.tsv",
-            (f"{doc_id}\t{n}\n" for doc_id, n in index.doc_len.items())),
-        "positions.tsv": _write_atomic(
+            (f"{doc_id}\t{n}\n" for doc_id, n in doc_len.items())),
+        "positions.tsv": _write_atomic(  # documents were numbered in ascending order
             directory / "positions.tsv",
-            (f"{term}\t{doc}\t{','.join(map(str, positions))}\n"
-             for term in sorted(cooc.positions)
-             for doc, positions in sorted(cooc.positions[term].items()))),
+            (f"{term}\t{doc}\t{','.join(map(str, held))}\n"
+             for term in sorted(positions) for doc, held in positions[term].items())),
     }
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "snapshot",
-        "num_docs": index.num_docs,
-        "total_tokens": index.total_tokens,
-        "vocabulary_size": len(index.postings),
-        "window_size": cooc.window_size,
-        "total_windows": cooc.total_windows,
+        "num_docs": len(doc_len),
+        "total_tokens": sum(doc_len.values()),
+        "vocabulary_size": len(positions),
         "tokenizer": {"lowercase": True, "token_pattern": _TOKEN_RE.pattern},
         "file_bytes": file_bytes,
     }
@@ -349,6 +354,7 @@ def save_index(
     _write_atomic(directory / "index.json", [text])
     for stale in _VERSION_2_FILES:
         (directory / stale).unlink(missing_ok=True)
+    return manifest
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
@@ -369,15 +375,19 @@ def load_index(directory: str | Path) -> CollectionIndex:
     return index
 
 
-def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
-    """Read a snapshot's positions; document lengths come from ``doc_lens.tsv``.
+def load_cooccurrence(
+    directory: str | Path, window_size: int = ExperimentConfig.context_window
+) -> CooccurrenceTable:
+    """Read a snapshot's positions into a table of ``window_size``-token windows.
 
-    Each row's positions must be strictly ascending, from 0 up to below its
+    Document lengths come from ``doc_lens.tsv``, and every window count is
+    derived from the positions, so one snapshot serves any window. Each
+    row's positions must be strictly ascending, from 0 up to below its
     document's length.
     """
     directory = Path(directory)
     manifest, _, lens = _read_snapshot(directory)
-    table = CooccurrenceTable(manifest["window_size"])
+    table = CooccurrenceTable(window_size)
     for n in lens:
         table._add_length(n)
     path, tokens = directory / "positions.tsv", 0
@@ -398,7 +408,6 @@ def load_cooccurrence(directory: str | Path) -> CooccurrenceTable:
         tokens += len(positions)
     _check_count(directory, manifest, "total_tokens", tokens)
     _check_count(directory, manifest, "vocabulary_size", len(table.positions))
-    _check_count(directory, manifest, "total_windows", table.total_windows)
     return table
 
 

@@ -499,8 +499,12 @@ def load_weighted_queries(path: str | Path) -> list[WeightedQuery]:
             if len(fields) != 4:
                 raise ValueError(f"{path}: malformed query line {lineno}")
             qid, term, weight, prov = fields
+            try:
+                weight = float(weight)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             query = queries.setdefault(qid, WeightedQuery(qid, []))
-            query.terms.append(QueryTerm(term, float(weight), prov))
+            query.terms.append(QueryTerm(term, weight, prov))
     if not queries:
         raise ValueError(f"{path}: no queries found")
     return list(queries.values())

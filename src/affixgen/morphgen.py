@@ -27,7 +27,6 @@ from .rules import (
     _band,
     _traceback,
     format_actions,
-    parse_actions,
 )
 
 
@@ -223,20 +222,3 @@ def save_formations(
         for c in candidates:
             rule_text = f"{format_actions(c.rule.actions)}@{c.rule.pos_tag}"
             handle.write(f"{c.source}\t{c.surface}\t{rule_text}\t{c.prob!r}\n")
-
-
-def load_formations(path: str | Path) -> list[FormationCandidate]:
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}: malformed formation line {lineno}")
-            source, surface, rule_text, prob = fields
-            actions_text, _, tag = rule_text.rpartition("@")
-            rule = TransformationRule(parse_actions(actions_text), tag)
-            out.append(FormationCandidate(surface, source, rule, float(prob)))
-    return out

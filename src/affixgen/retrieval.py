@@ -244,10 +244,13 @@ def load_run(path: str | Path) -> RunFile:
             if len(fields) != 6 or fields[1] != "Q0":
                 raise ValueError(f"{path}: malformed run line {lineno}")
             qid, _, doc_id, rank, score, tag = fields
+            try:
+                rank, value = int(rank), float(score)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             bucket = rankings.setdefault(qid, [])
-            if int(rank) != len(bucket) + 1:
+            if rank != len(bucket) + 1:
                 raise ValueError(f"{path}: rank sequence broken at line {lineno}")
-            value = float(score)
             if bucket and value > bucket[-1][1]:
                 raise ValueError(f"{path}: scores increase at line {lineno}")
             bucket.append((doc_id, value))
@@ -278,8 +281,12 @@ def load_qrels(path: str | Path) -> Qrels:
             if len(fields) != 4:
                 raise ValueError(f"{path}: malformed qrels line {lineno}")
             qid, _, doc_id, grade = fields
+            try:
+                grade = int(grade)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             bucket = relevant.setdefault(qid, set())
-            if int(grade) > 0:
+            if grade > 0:
                 bucket.add(doc_id)
     if not relevant:
         raise ValueError(f"{path}: no judgments found")

@@ -195,21 +195,6 @@ def extract_rule(w: str, w2: str, pos_tag: str = UNKNOWN_TAG) -> TransformationR
     return TransformationRule(_traceback(w, w2, rows, k), pos_tag)
 
 
-def invert_rule(rule: TransformationRule, pos_tag: str | None = None) -> TransformationRule:
-    """Undo a rule: swap insert and delete and reverse the action order.
-
-    Position labels carry over unchanged; an action that touched index 0 or
-    the final position of the partially transformed string is undone at the
-    same place. Applying the inverted rule to any output of the original
-    yields a set containing the original word.
-    """
-    flipped = tuple(
-        Action(DELETE if a.op == INSERT else INSERT, a.pos, a.ch)
-        for a in reversed(rule.actions)
-    )
-    return TransformationRule(flipped, rule.pos_tag if pos_tag is None else pos_tag)
-
-
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -374,17 +359,22 @@ def load_rules(path: str | Path) -> RuleTable:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("#k_max\t"):
-                k_max = int(line.split("\t")[1])
-                continue
             fields = line.split("\t")
-            if len(fields) != 4:
+            header = line.startswith("#k_max\t")
+            if not header and len(fields) != 4:
                 raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
+            try:
+                if header:
+                    k_max = int(fields[1])
+                    continue
+                count, prob = int(fields[2]), float(fields[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             rule = TransformationRule(parse_actions(fields[0]), fields[1])
             if rule in counts:
                 raise ValueError(f"{path}: duplicate rule on line {lineno}")
-            counts[rule] = int(fields[2])
-            stored_probs[rule] = float(fields[3])
+            counts[rule] = count
+            stored_probs[rule] = prob
     if not counts:
         raise ValueError(f"{path}: no rules found")
     if not k_max:

@@ -1,10 +1,12 @@
 """Configuration round trips and the command-line pipeline end to end."""
 
+from dataclasses import fields
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import pytest
 
-from affixgen.cli import main
+from affixgen.cli import build_parser, main
 from affixgen.corpus import (
     CooccurrenceTable,
     Document,
@@ -13,6 +15,11 @@ from affixgen.corpus import (
     load_index,
     load_stopwords,
     tokenize,
+)
+from affixgen.disambig import (
+    BilingualDictionary,
+    build_weighted_query,
+    save_weighted_queries,
 )
 from affixgen.config import (
     ExperimentConfig,
@@ -99,6 +106,10 @@ def pipeline(tmp_path_factory):
     )
 
 
+def write_corpus(path, docs):
+    path.write_text("".join(f"{d.doc_id}\t{d.text}\n" for d in docs), encoding="utf-8")
+
+
 def translate(pipe, out, *extra):
     argv = [
         "translate",
@@ -126,15 +137,16 @@ class TestCliPipeline:
         # No temporary file is left beside them.
         assert names == {"index.json", "doc_lens.tsv", "positions.tsv"}
 
-    def test_index_with_stopwords_round_trips(self, tmp_path):
+    def test_index_with_stopwords_round_trips(self, tmp_path, capsys):
         docs = [Document("d1", "kala talo ja kalat"), Document("d2", "ja on ja"),
                 Document("d3", "talot on kala talo kalat")]
         corpus, stop = tmp_path / "corpus.tsv", tmp_path / "stop.txt"
-        corpus.write_text("".join(f"{d.doc_id}\t{d.text}\n" for d in docs), encoding="utf-8")
+        write_corpus(corpus, docs)
         stop.write_text("ja\non\n", encoding="utf-8")
         snap = tmp_path / "snap"
         assert main(["index", "--corpus", str(corpus), "--stopwords", str(stop),
-                     "--index-dir", str(snap), "--context-window", "2"]) == 0
+                     "--index-dir", str(snap)]) == 0
+        assert capsys.readouterr().out == "indexed 3 documents, 4 terms, 7 tokens\n"
 
         stopwords = load_stopwords(stop)
         index = build_index(docs, stopwords)
@@ -142,7 +154,7 @@ class TestCliPipeline:
         for doc in docs:
             cooc.add_document(tokenize(doc.text, stopwords))
         assert index.doc_len == {"d1": 3, "d2": 0, "d3": 4}
-        loaded_index, loaded_cooc = load_index(snap), load_cooccurrence(snap)
+        loaded_index, loaded_cooc = load_index(snap), load_cooccurrence(snap, 2)
         assert loaded_index.postings == index.postings
         assert loaded_index.doc_len == index.doc_len
         assert loaded_cooc.doc_len == cooc.doc_len == [3, 0, 4]
@@ -338,6 +350,53 @@ class TestCliPipeline:
         assert first[1].startswith("src")
 
 
+class TestQueryTimeWindow:
+    """The co-occurrence window is read from the config by the commands that count."""
+
+    DOCS = [
+        Document("d1", "kala vesi talo metsä puu kivi talot ranta kalat tie"),
+        Document("d2", "talo kalat järvi kala vesi metsä talot puu kivi ranta"),
+        Document("d3", "kalat talot vesi kala järvi metsä tie talo puu kivi"),
+    ]
+    ENTRIES = {"fish": ["kala", "kalat"], "house": ["talo", "talot"]}
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        corpus, snap = tmp_path / "corpus.tsv", tmp_path / "snap"
+        write_corpus(corpus, self.DOCS)
+        (tmp_path / "dict.tsv").write_text(
+            "".join(f"{s}\t{','.join(c)}\n" for s, c in self.ENTRIES.items()),
+            encoding="utf-8")
+        (tmp_path / "topics.tsv").write_text("q1\tfish house\n", encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--index-dir", str(snap)]) == 0
+        return tmp_path
+
+    def library_queries(self, weighting, window, out):
+        cooc = CooccurrenceTable(window)
+        for doc in self.DOCS:
+            cooc.add_document(tokenize(doc.text))
+        query = build_weighted_query(
+            "q1", ["fish", "house"], BilingualDictionary(self.ENTRIES),
+            weighting=weighting, index=build_index(self.DOCS), cooc=cooc)
+        save_weighted_queries([query], out)
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("weighting", ["2g", "itd"])
+    def test_translate_counts_the_configured_window(self, files, weighting):
+        emitted, first, again = files / "run.ini", files / "q1.tsv", files / "q2.tsv"
+        assert main(["translate", "--mode", "none", "--weighting", weighting,
+                     "--context-window", "2", "--dictionary", str(files / "dict.tsv"),
+                     "--topics", str(files / "topics.tsv"), "--index-dir", str(files / "snap"),
+                     "--out", str(first), "--emit-config", str(emitted)]) == 0
+        assert load_config(emitted).context_window == 2
+        expected = self.library_queries(weighting, 2, files / "library.tsv")
+        assert first.read_bytes() == expected
+        assert expected != self.library_queries(weighting, 10, files / "w10.tsv")
+
+        assert main(["translate", "--config", str(emitted), "--out", str(again)]) == 0
+        assert again.read_bytes() == expected
+
+
 class TestCliErrors:
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 2
@@ -369,6 +428,14 @@ class TestCliErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_document_id_writes_no_snapshot(self, tmp_path, capsys):
+        corpus, snap = tmp_path / "corpus.tsv", tmp_path / "snap"
+        write_corpus(corpus, [Document("d1", "kala"), Document("d7", "talo"),
+                              Document("d7", "vesi")])
+        assert main(["index", "--corpus", str(corpus), "--index-dir", str(snap)]) == 1
+        assert "duplicate document identifier: 'd7'" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_tuning_grid_validation(self, pipeline, capsys):
         rc = main([
             "tune-thresholds",
@@ -381,3 +448,22 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert "grid" in capsys.readouterr().err
+
+
+BOOL_KEYS = [f.name for f in fields(ExperimentConfig)
+             if get_type_hints(ExperimentConfig)[f.name] is bool]
+
+
+def test_every_bool_key_is_an_on_off_flag_on_every_subcommand():
+    assert {"prf", "monolingual", "require_context"} <= set(BOOL_KEYS)
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert len(commands) == 8
+    for name, command in commands.items():
+        required = [arg for action in command._actions if action.required
+                    for arg in (action.option_strings[0], "x")]
+        for key in BOOL_KEYS:
+            flag = key.replace("_", "-")
+            for argv, value in (([f"--{flag}"], True), ([f"--no-{flag}"], False), ([], None)):
+                args = parser.parse_args([name, *required, *argv])
+                assert getattr(args, key) is value, (name, argv)

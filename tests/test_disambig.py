@@ -661,3 +661,10 @@ class TestWeightedQueries:
         path.write_text("\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no queries"):
             load_weighted_queries(path)
+
+    def test_load_names_the_line_of_a_malformed_weight(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("1\ta\t0.5\tdictionary\n1\tb\tnotanumber\tdictionary\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line 2: .*'notanumber'"):
+            load_weighted_queries(path)

@@ -383,6 +383,19 @@ class TestRunAndQrelsFiles:
         with pytest.raises(ValueError, match="no judgments"):
             load_qrels(path)
 
+    def test_qrels_malformed_grade_names_the_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d2 x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ") + ".*'x'"):
+            load_qrels(path)
+
+    def test_run_malformed_number_names_the_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        for line in ("q1 Q0 d2 one -2.0 tag", "q1 Q0 d2 2 low tag"):
+            path.write_text(f"q1 Q0 d1 1 -1.0 tag\n{line}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")):
+                load_run(path)
+
 
 class TestEvaluate:
     def test_partial_retrieval_hand_values(self):

@@ -17,7 +17,6 @@ from affixgen.rules import (
     extract_rule,
     format_actions,
     indel_distance,
-    invert_rule,
     load_rules,
     mine_rules,
     parse_actions,
@@ -241,15 +240,6 @@ class TestExtractRule:
         for a, b in cases:
             assert b in apply_rule(a, extract_rule(a, b))
 
-    def test_inversion_returns_source(self):
-        rng = random.Random(8)
-        for _ in range(400):
-            a = random_word(rng, "abc", 0, 7)
-            b = random_word(rng, "abc", 0, 7)
-            rule = extract_rule(a, b)
-            assert a in apply_rule(b, invert_rule(rule))
-            assert len(invert_rule(rule).actions) == len(rule.actions)
-
 
 class TestMineRules:
     def test_two_word_example(self):
@@ -367,6 +357,21 @@ class TestSerialization:
         text = path.read_text(encoding="utf-8").replace("0.5", "0.9", 1)
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="inconsistent"):
+            load_rules(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno, bad",
+        [
+            ("#k_max\t3\ni:e:s\tUNK\tthree\t1.0\n", 2, "three"),
+            ("#k_max\t3\ni:e:s\tUNK\t1\tone\n", 2, "one"),
+            ("#k_max\tx\ni:e:s\tUNK\t1\t1.0\n", 1, "x"),
+        ],
+        ids=["count", "probability", "k_max"],
+    )
+    def test_malformed_numbers_name_the_line(self, tmp_path, text, lineno, bad):
+        path = tmp_path / "rules.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line {lineno}: .*'{bad}'"):
             load_rules(path)
 
     def test_empty_rule_file_rejected(self, tmp_path):
