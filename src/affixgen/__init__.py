@@ -8,7 +8,6 @@ from .corpus import (
     Document,
     PosLexicon,
     StopwordList,
-    build_index,
     load_pos_lexicon,
     load_stopwords,
     read_documents,
@@ -21,7 +20,6 @@ from .disambig import (
     WeightedQuery,
     baseline_weights,
     build_weighted_query,
-    estimate_association,
     init_weights,
     itd_weights,
     joint_weights_2g,
@@ -33,9 +31,7 @@ from .morphgen import (
     NoiseFilterConfig,
     apply_rule,
     context_filter,
-    generate_formations,
     ngram_split,
-    stem_hook,
 )
 from .retrieval import (
     EvalResult,
@@ -54,7 +50,6 @@ from .rules import (
     RuleTable,
     TransformationRule,
     extract_rule,
-    indel_distance,
     mine_rules,
     score_rules,
 )

@@ -372,7 +372,6 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
         raise ValueError("tuning needs at least 2 folds")
     qrels = load_qrels(cfg.qrels)
     topics, dictionary, index, cooc, base, stemmer = _translation_resources(cfg)
-    cooc = cooc or corpus_mod.load_cooccurrence(cfg.index_dir, cfg.context_window)
 
     usable = [(qid, title) for qid, title in topics if qrels.relevant.get(qid)]
     if len(usable) < args.folds:

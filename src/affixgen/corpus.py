@@ -1,13 +1,14 @@
 """Corpus ingestion: tokenization, collection statistics, and co-occurrence counts.
 
-Documents are tokenized into lowercase letter runs. A snapshot stores only
-what the corpus determines: each document's length and each term's token
-positions, described by one manifest. Two tables are read from it: an
+Documents are tokenized into lowercase letter runs. A snapshot, written
+by ``save_index``, stores only what the corpus determines: each document's
+length and each term's token positions, described by one manifest. Both
+tables are built only by reading a snapshot: ``load_index`` gives an
 inverted index with document lengths and collection frequencies (a term
 frequency is a position count, and documents are numbered by their line in
-the lengths file), and sliding w-token window counts for the window the
-reader asks for: a token at position p of an n-token document lies in the
-windows starting in [max(0, p - w + 1), min(p, n - w)].
+the lengths file), and ``load_cooccurrence`` sliding w-token window counts
+for the window the reader asks for: a token at position p of an n-token
+document lies in the windows starting in [max(0, p - w + 1), min(p, n - w)].
 """
 
 from __future__ import annotations
@@ -108,28 +109,6 @@ class CollectionIndex:
             return 0.0
         return self.collection_freq.get(term, 0) / self.total_tokens
 
-    def add_document(self, doc_id: str, tokens: list[str]) -> None:
-        if doc_id in self.doc_len:
-            raise ValueError(f"duplicate document identifier: {doc_id!r}")
-        self.doc_len[doc_id] = len(tokens)
-        self.total_tokens += len(tokens)
-        for term, count in Counter(tokens).items():
-            self.postings.setdefault(term, {})[doc_id] = count
-            self.collection_freq[term] += count
-
-
-def build_index(
-    docs: Iterable[Document], stopwords: StopwordList | None = None
-) -> CollectionIndex:
-    """Tokenize documents and accumulate index statistics.
-
-    Duplicate document identifiers raise ValueError naming the identifier.
-    """
-    index = CollectionIndex()
-    for doc in docs:
-        index.add_document(doc.doc_id, tokenize(doc.text, stopwords))
-    return index
-
 
 class CooccurrenceTable:
     """Sliding-window co-occurrence counts, computed from token positions.
@@ -138,11 +117,12 @@ class CooccurrenceTable:
     each document and never cross document boundaries; a document of
     0 < n <= w tokens holds one window, an empty one none. A window counts
     each distinct unordered term pair once, and self pairs are excluded.
-    Only the document lengths (``doc_len``, one per document added, empty
-    ones included, so documents are numbered as added) and each term's
-    ascending positions in each document holding it (``positions[term][doc]``)
-    are stored. A term's windows in a document are the union of
-    [max(0, p - w + 1), min(p, n - w)] over its positions p;
+    Only the document lengths (``doc_len``, one per line of the snapshot's
+    ``doc_lens.tsv``, empty documents included, so a document's number is
+    its line there) and each term's ascending positions in each document
+    holding it (``positions[term][doc]``) are stored. A term's windows in a
+    document are the union of [max(0, p - w + 1), min(p, n - w)] over its
+    positions p;
     ``unigram_window_count`` sums the union's size over documents and
     ``pair_count(a, b)`` the size of two terms' intersection.
     """
@@ -180,30 +160,6 @@ class CooccurrenceTable:
             count += (self._windows(pos_a, n) + self._windows(pos_b, n)
                       - self._windows(sorted(pos_a + pos_b), n))
         return count
-
-    def add_document(self, tokens: list[str]) -> None:
-        doc = self._add_length(len(tokens))
-        for term, positions in _group_positions(tokens).items():
-            self._add_positions(term, doc, positions)
-
-    def _add_length(self, n: int) -> int:
-        """Number the next document, of n tokens, and count its windows."""
-        self.doc_len.append(n)
-        if n:
-            self.total_windows += max(0, n - self.window_size) + 1
-        return len(self.doc_len) - 1
-
-    def _add_positions(self, term: str, doc: int, positions: list[int]) -> None:
-        self.positions.setdefault(term, {})[doc] = positions
-        self.unigram_window_count[term] += self._windows(positions, self.doc_len[doc])
-
-
-def _group_positions(tokens: list[str]) -> dict[str, list[int]]:
-    """Each term of one document's tokens, with its ascending positions."""
-    held: dict[str, list[int]] = {}
-    for p, term in enumerate(tokens):
-        held.setdefault(term, []).append(p)
-    return held
 
 
 class PairCountMemo(CooccurrenceTable):
@@ -328,8 +284,11 @@ def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path
             raise ValueError(f"duplicate document identifier: {doc_id!r}")
         doc = len(doc_len)
         doc_len[doc_id] = len(tokens)
-        for term, held in _group_positions(tokens).items():
-            positions.setdefault(term, {})[doc] = held
+        held: dict[str, list[int]] = {}
+        for p, term in enumerate(tokens):
+            held.setdefault(term, []).append(p)
+        for term, at in held.items():
+            positions.setdefault(term, {})[doc] = at
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     file_bytes = {
@@ -388,8 +347,8 @@ def load_cooccurrence(
     directory = Path(directory)
     manifest, _, lens = _read_snapshot(directory)
     table = CooccurrenceTable(window_size)
-    for n in lens:
-        table._add_length(n)
+    table.doc_len = lens
+    table.total_windows = sum(max(0, n - window_size) + 1 for n in lens if n)
     path, tokens = directory / "positions.tsv", 0
     for lineno, term, doc, text in _position_rows(directory, len(lens)):
         try:
@@ -404,7 +363,8 @@ def load_cooccurrence(
         if positions[-1] >= lens[doc]:
             raise ValueError(f"{path}: line {lineno}: position {positions[-1]} is not "
                              f"below the length {lens[doc]} of document {doc}")
-        table._add_positions(term, doc, positions)
+        table.positions.setdefault(term, {})[doc] = positions
+        table.unigram_window_count[term] += table._windows(positions, lens[doc])
         tokens += len(positions)
     _check_count(directory, manifest, "total_tokens", tokens)
     _check_count(directory, manifest, "vocabulary_size", len(table.positions))

@@ -28,7 +28,6 @@ from .morphgen import (
     FormationGenerator,
     context_filter,
     ngram_split,
-    stem_hook,
 )
 
 JOINT = "joint"
@@ -130,10 +129,6 @@ class AssociationModel:
         return max(0.0, math.log(pair * self.cooc.total_windows / (ua * ub)))
 
 
-def estimate_association(cooc: CooccurrenceTable, kind: str) -> AssociationModel:
-    return AssociationModel(cooc, kind)
-
-
 def init_weights(
     sets: Sequence[TranslationCandidateSet],
 ) -> list[TranslationCandidateSet]:
@@ -194,22 +189,6 @@ def _normalized(cs: TranslationCandidateSet, row: list[float]) -> TranslationCan
     return replace(cs, dict_weights=row[:n], formation_weights=row[n:])
 
 
-def itd_step(
-    sets: Sequence[TranslationCandidateSet], assoc: AssociationModel
-) -> tuple[list[list[float]], list[list[float]]]:
-    """One raw additive update, before per-term normalization.
-
-    Each candidate keeps its weight and adds, over the edges it reads (see
-    ``_edge_lists``), the edge times the other candidate's weight.
-    """
-    weights = [cs.dict_weights + cs.formation_weights for cs in sets]
-    raw = _scores(_edge_lists(sets, assoc), weights, weights)
-    return (
-        [row[: len(cs.dict_candidates)] for cs, row in zip(sets, raw)],
-        [row[len(cs.dict_candidates) :] for cs, row in zip(sets, raw)],
-    )
-
-
 @dataclass
 class ItdResult:
     sets: list[TranslationCandidateSet]
@@ -226,8 +205,10 @@ def itd_weights(
 ) -> ItdResult:
     """Iterate additive updates with per-term normalization to convergence.
 
-    The association edges are computed once per query; each iteration is an
-    ``itd_step`` update over them. Convergence is reached when no normalized
+    The association edges are computed once per query. In each iteration
+    every candidate keeps its weight and adds, over the edges it reads (see
+    ``_edge_lists``), the edge times the other candidate's weight; then each
+    term's weights are normalized. Convergence is reached when no normalized
     weight moves by ``eps`` or more between consecutive iterations.
     """
     if max_iters < 1:
@@ -342,9 +323,11 @@ def build_candidate_sets(
     """Expand query terms into candidate sets for the chosen morphology mode.
 
     Out-of-vocabulary terms pass through verbatim as their own single
-    candidate. In ``ag`` mode formations are generated from every dictionary
-    candidate, deduplicated by surface (best rule probability wins), and
-    filtered by co-occurrence with the query's dictionary candidates.
+    candidate. In ``stem`` mode candidates are replaced by their stems (kept
+    as they are without a stemmer) and deduplicated. In ``ag`` mode
+    formations are generated from every dictionary candidate, deduplicated
+    by surface (best rule probability wins), and filtered by co-occurrence
+    with the query's dictionary candidates.
     """
     if mode not in MORPH_MODES:
         raise ValueError(f"unknown morphology mode: {mode!r}")
@@ -354,7 +337,7 @@ def build_candidate_sets(
         if not cands:
             cands = [term]
         if mode == "stem":
-            cands = list(dict.fromkeys(stem_hook(c, stemmer) for c in cands))
+            cands = list(dict.fromkeys(cands if stemmer is None else map(stemmer, cands)))
         sets.append(TranslationCandidateSet(term, cands))
 
     if mode == "ag":
@@ -403,8 +386,8 @@ def weight_candidate_sets(
     if cooc is None:
         raise ValueError(f"{method} weighting needs a co-occurrence table")
     if method == "2g":
-        return joint_weights_2g(sets, estimate_association(cooc, JOINT))
-    assoc = estimate_association(cooc, MUTUAL_INFORMATION)
+        return joint_weights_2g(sets, AssociationModel(cooc, JOINT))
+    assoc = AssociationModel(cooc, MUTUAL_INFORMATION)
     return itd_weights(init_weights(sets), assoc, itd_max_iters, itd_eps).sets
 
 
@@ -503,6 +486,9 @@ def load_weighted_queries(path: str | Path) -> list[WeightedQuery]:
                 weight = float(weight)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError(f"{path}: line {lineno}: weight {fields[2]!r} "
+                                 f"is not a finite number of 0 or more")
             query = queries.setdefault(qid, WeightedQuery(qid, []))
             query.terms.append(QueryTerm(term, weight, prov))
     if not queries:

@@ -151,18 +151,6 @@ class FormationGenerator:
         return out
 
 
-def generate_formations(
-    w: str,
-    vocab: Iterable[str],
-    rules: RuleTable,
-    pos: PosLexicon | Callable[[str], str] | None = None,
-    cfg: NoiseFilterConfig | None = None,
-    med: MedConfig | None = None,
-) -> list[FormationCandidate]:
-    """One-shot formation generation; see FormationGenerator for repeated use."""
-    return FormationGenerator(vocab, rules, pos, cfg, med).generate(w)
-
-
 def context_filter(
     candidates: Sequence[FormationCandidate],
     anchors: Iterable[str],
@@ -192,11 +180,6 @@ def ngram_split(term: str, n: int = 5) -> list[str]:
         return [term]
     grams = [term[i : i + n] for i in range(len(term) - n + 1)]
     return list(dict.fromkeys(grams))
-
-
-def stem_hook(term: str, stemmer: Callable[[str], str] | None = None) -> str:
-    """Apply an external stemmer; identity when none is configured."""
-    return stemmer(term) if stemmer is not None else term
 
 
 def load_stem_table(path: str | Path) -> Callable[[str], str]:

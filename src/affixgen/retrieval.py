@@ -233,7 +233,14 @@ def save_run(run: RunFile, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunFile:
+    """Read a six-column run file.
+
+    Within a query, ranks count up from 1, scores are finite and never
+    increase, and no document appears twice; a line that breaks one of these
+    raises ValueError naming the file and line.
+    """
     rankings: dict[str, list[tuple[str, float]]] = {}
+    ranked: dict[str, set[str]] = {}
     tag = "unknown"
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -248,11 +255,17 @@ def load_run(path: str | Path) -> RunFile:
                 rank, value = int(rank), float(score)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            bucket = rankings.setdefault(qid, [])
+            bucket, docs = rankings.setdefault(qid, []), ranked.setdefault(qid, set())
             if rank != len(bucket) + 1:
                 raise ValueError(f"{path}: rank sequence broken at line {lineno}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: score {score!r} is not finite")
             if bucket and value > bucket[-1][1]:
                 raise ValueError(f"{path}: scores increase at line {lineno}")
+            if doc_id in docs:
+                raise ValueError(f"{path}: line {lineno}: document {doc_id!r} "
+                                 f"is already ranked for query {qid!r}")
+            docs.add(doc_id)
             bucket.append((doc_id, value))
     if not rankings:
         raise ValueError(f"{path}: no run entries found")
@@ -264,9 +277,6 @@ class Qrels:
     """Binary relevance judgments: judged queries and their relevant sets."""
 
     relevant: dict[str, set[str]] = field(default_factory=dict)
-
-    def queries(self) -> set[str]:
-        return set(self.relevant)
 
 
 def load_qrels(path: str | Path) -> Qrels:

@@ -177,17 +177,6 @@ def _traceback(w: str, w2: str, rows: list[list[int]], k: int) -> tuple[Action, 
     return tuple(actions)
 
 
-def banded_distance(w: str, w2: str, k: int) -> int | None:
-    """Indel distance if it does not exceed ``k``, else None."""
-    band = _band(w, w2, k)
-    return band[0] if band is not None else None
-
-
-def indel_distance(w: str, w2: str) -> int:
-    """Minimum edit distance using insertions and deletions only."""
-    return banded_distance(w, w2, len(w) + len(w2))
-
-
 def extract_rule(w: str, w2: str, pos_tag: str = UNKNOWN_TAG) -> TransformationRule:
     """Extract the canonical transformation rule turning ``w`` into ``w2``."""
     k = len(w) + len(w2)
@@ -263,9 +252,6 @@ class RuleTable:
             key=lambda r: (-self.counts[r], format_actions(r.actions), r.pos_tag),
         )
         return [(r, self.counts[r], self.probs[r]) for r in order]
-
-    def top(self, n: int) -> list[TransformationRule]:
-        return [r for r, _, _ in self.ranked()[:n]]
 
 
 def score_rules(counts: dict[TransformationRule, int], k_max: int) -> RuleTable:

@@ -2,7 +2,10 @@
 
 Everything here is written directly from definitions, trading speed for
 obviousness, so the optimized library code has something honest to be
-checked against.
+checked against. Two helpers are not oracles but entry points into shipped
+code that the library does not export: ``indel_distance`` runs the banded
+kernel with an unbounded band, and ``itd_step`` one raw ITD update over the
+shipped edge lists.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from affixgen.corpus import UNKNOWN_TAG
+from affixgen.disambig import _edge_lists, _scores
 from affixgen.morphgen import FormationCandidate
 from affixgen.rules import (
     BEGIN,
@@ -22,6 +26,7 @@ from affixgen.rules import (
     MIDDLE,
     Action,
     TransformationRule,
+    _band,
     extract_rule,
 )
 
@@ -47,6 +52,11 @@ def lcs_len(a: str, b: str) -> int:
 def indel_distance_lcs(a: str, b: str) -> int:
     """Insert/delete distance through the LCS identity, not through a DP of it."""
     return len(a) + len(b) - 2 * lcs_len(a, b)
+
+
+def indel_distance(a: str, b: str) -> int:
+    """The shipped banded kernel with a band wide enough for any pair."""
+    return _band(a, b, len(a) + len(b))[0]
 
 
 def _delete_pos(i: int, j: int, n: int) -> str:
@@ -220,6 +230,24 @@ def generate_formations_bruteforce(w, vocab, rules, cfg, k_max, tag=UNKNOWN_TAG,
     return out
 
 
+def index_bruteforce(token_docs):
+    """Index statistics counted from ``(doc_id, tokens)`` pairs with Counters.
+
+    Returns ``(postings, doc_len, collection_freq)``: term to document id to
+    term frequency, document id to length in the order given, and term to
+    collection frequency.
+    """
+    postings: dict[str, dict[str, int]] = {}
+    doc_len: dict[str, int] = {}
+    collection_freq: Counter[str] = Counter()
+    for doc_id, tokens in token_docs:
+        doc_len[doc_id] = len(tokens)
+        for term, count in Counter(tokens).items():
+            postings.setdefault(term, {})[doc_id] = count
+        collection_freq.update(tokens)
+    return postings, doc_len, collection_freq
+
+
 def window_cooccurrence_bruteforce(token_docs, window_size):
     """Recount co-occurrence windows straight from the definition."""
     pair_counts: Counter[tuple[str, str]] = Counter()
@@ -390,6 +418,21 @@ def weights_2g_bruteforce(sets, cooc):
             form_scores = [s / total for s in form_scores]
         weighted.append((dict_scores, form_scores))
     return weighted
+
+
+def itd_step(sets, assoc):
+    """One raw ITD update over the shipped edge lists, before normalization.
+
+    Each candidate keeps its weight and adds, over the edges it reads, the
+    edge times the other candidate's weight. Returns the per-term dictionary
+    and formation rows.
+    """
+    weights = [cs.dict_weights + cs.formation_weights for cs in sets]
+    raw = _scores(_edge_lists(sets, assoc), weights, weights)
+    return (
+        [row[: len(cs.dict_candidates)] for cs, row in zip(sets, raw)],
+        [row[len(cs.dict_candidates) :] for cs, row in zip(sets, raw)],
+    )
 
 
 def weights_itd_bruteforce(sets, cooc, max_iters, eps):

@@ -25,7 +25,7 @@ from affixgen.rules import (
     MIDDLE,
     Action,
     TransformationRule,
-    banded_distance,
+    _band,
 )
 
 BASE_ALPHABET = "bcdfgj"
@@ -75,7 +75,7 @@ def _well_separated_words(rng: random.Random, count: int, existing: list[str]) -
         length = rng.randint(11, 13)
         word = "".join(rng.choice(BASE_ALPHABET) for _ in range(length))
         if any(
-            banded_distance(word, other, MIN_SEPARATION - 1) is not None
+            _band(word, other, MIN_SEPARATION - 1) is not None
             for other in pool
         ):
             continue

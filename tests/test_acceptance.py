@@ -12,19 +12,16 @@ import time
 import numpy as np
 
 from affixgen.corpus import (
-    CooccurrenceTable,
     Document,
     PosLexicon,
-    build_index,
     tokenize,
 )
 from affixgen.disambig import (
+    AssociationModel,
     TranslationCandidateSet,
     build_candidate_sets,
     build_weighted_query,
-    estimate_association,
     init_weights,
-    itd_step,
     itd_weights,
     joint_weights_2g,
 )
@@ -33,7 +30,6 @@ from affixgen.morphgen import (
     FormationGenerator,
     NoiseFilterConfig,
     apply_rule,
-    generate_formations,
 )
 from affixgen.retrieval import (
     RECALL_LEVELS,
@@ -50,14 +46,15 @@ from affixgen.rules import (
     Action,
     TransformationRule,
     extract_rule,
-    indel_distance,
     mine_rules,
 )
 from affixgen.disambig import QueryTerm, WeightedQuery
 from oracles import (
     average_precision_bruteforce,
     feedback_model_em,
+    indel_distance,
     interpolated_precision_bruteforce,
+    itd_step,
     lcs_len,
     mine_rules_bruteforce,
     mixture_loglikelihood,
@@ -66,6 +63,7 @@ from oracles import (
     weights_itd_bruteforce,
 )
 from synthcorpus import build_world
+from tables import cooc_of, index_of, tables
 
 
 def rand_word(rng, alphabet, lo, hi):
@@ -249,11 +247,12 @@ def test_criterion_5_iterative_weighting_contracts():
 
 def _random_toy_world(rng):
     vocab = [rand_word(rng, "abcde", 3, 5) for _ in range(12)]
-    table = CooccurrenceTable(rng.randint(2, 5))
-    for _ in range(rng.randint(1, 5)):
-        table.add_document(
-            [rng.choice(vocab) for _ in range(rng.randint(2, 9))]
-        )
+    window = rng.randint(2, 5)
+    table = cooc_of(
+        [[rng.choice(vocab) for _ in range(rng.randint(2, 9))]
+         for _ in range(rng.randint(1, 5))],
+        window,
+    )
     rule = TransformationRule((), "UNK")
     sets = []
     for i in range(rng.randint(2, 4)):
@@ -277,7 +276,7 @@ def test_criterion_6_one_shot_weighting_matches_bruteforce():
     rng = random.Random(6006)
     for _ in range(150):
         table, sets = _random_toy_world(rng)
-        assoc = estimate_association(table, "joint")
+        assoc = AssociationModel(table, "joint")
         got = joint_weights_2g(sets, assoc)
         expected = weights_2g_bruteforce(sets, table)
         for cs, (dict_scores, form_scores) in zip(got, expected):
@@ -295,7 +294,7 @@ def test_criterion_6_one_shot_weighting_matches_bruteforce():
             TranslationCandidateSet(cs.query_term, list(cs.dict_candidates))
             for cs in sets
         ]
-        got = joint_weights_2g(bare, estimate_association(table, "joint"))
+        got = joint_weights_2g(bare, AssociationModel(table, "joint"))
         expected = weights_2g_bruteforce(bare, table)
         for cs, (dict_scores, _) in zip(got, expected):
             assert cs.dict_weights == dict_scores
@@ -312,7 +311,7 @@ def test_iterative_weighting_matches_bruteforce():
             continue
         checked += 1
         got = itd_weights(
-            init_weights(sets), estimate_association(table, "mi"), 50, 1e-6
+            init_weights(sets), AssociationModel(table, "mi"), 50, 1e-6
         )
         expected, iterations = weights_itd_bruteforce(sets, table, 50, 1e-6)
         assert got.iterations == iterations
@@ -323,7 +322,7 @@ def test_iterative_weighting_matches_bruteforce():
 
 def test_criterion_7_retrieval_and_evaluation_oracles():
     """Hand-checked smoothing scores, definition-level metrics, MAP edge."""
-    index = build_index(
+    index = index_of(
         [
             Document("d1", "apple banana apple"),
             Document("d2", "banana cherry"),
@@ -371,13 +370,10 @@ def test_criterion_8_synthetic_cross_lingual_pipeline():
     """Planted rules, variant recovery, and a significant retrieval gain."""
     start = time.perf_counter()
     world = build_world()
-    index = build_index(world.documents)
-    cooc = CooccurrenceTable(10)
-    for doc in world.documents:
-        cooc.add_document(tokenize(doc.text))
+    index, cooc = tables(world.documents, 10)
 
     table = mine_rules(index.vocabulary)
-    top20 = set(table.top(20))
+    top20 = {rule for rule, _, _ in table.ranked()[:20]}
     missing = [r for r in world.planted_rules if r not in top20]
     assert missing == []
 
@@ -454,7 +450,7 @@ def test_criterion_9_noise_filter_monotonicity():
             cfg = NoiseFilterConfig(tau, lens)
             return {
                 c.surface
-                for c in generate_formations(word, vocab, rules, cfg=cfg)
+                for c in FormationGenerator(vocab, rules, cfg=cfg).generate(word)
             }
 
         loose = surfaces(tau_lo, len_lo)
@@ -483,7 +479,7 @@ def test_criterion_10_feedback_model_is_exact_mle():
     for noise in (0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0):
         for _ in range(300):
             tokens = [rng.choice("abcdefghijkl") for _ in range(rng.randint(5, 80))]
-            index = build_index([Document("d", " ".join(tokens))])
+            index = index_of([Document("d", " ".join(tokens))])
             vocab = sorted(index.collection_freq)
             counts = {
                 t: rng.randint(1, 12)

@@ -7,14 +7,12 @@ from typing import get_type_hints
 import pytest
 
 from affixgen.cli import build_parser, main
+from affixgen import corpus
 from affixgen.corpus import (
-    CooccurrenceTable,
     Document,
-    build_index,
     load_cooccurrence,
     load_index,
     load_stopwords,
-    tokenize,
 )
 from affixgen.disambig import (
     BilingualDictionary,
@@ -29,7 +27,9 @@ from affixgen.config import (
     load_config,
     save_config,
 )
+from oracles import index_bruteforce, window_cooccurrence_bruteforce
 from synthcorpus import build_world, world_files
+from tables import tables, token_stream
 
 
 class TestConfig:
@@ -148,19 +148,20 @@ class TestCliPipeline:
                      "--index-dir", str(snap)]) == 0
         assert capsys.readouterr().out == "indexed 3 documents, 4 terms, 7 tokens\n"
 
-        stopwords = load_stopwords(stop)
-        index = build_index(docs, stopwords)
-        cooc = CooccurrenceTable(2)
-        for doc in docs:
-            cooc.add_document(tokenize(doc.text, stopwords))
-        assert index.doc_len == {"d1": 3, "d2": 0, "d3": 4}
+        token_docs = list(token_stream(docs, load_stopwords(stop)))
+        postings, doc_len, _ = index_bruteforce(token_docs)
+        assert doc_len == {"d1": 3, "d2": 0, "d3": 4}
         loaded_index, loaded_cooc = load_index(snap), load_cooccurrence(snap, 2)
-        assert loaded_index.postings == index.postings
-        assert loaded_index.doc_len == index.doc_len
-        assert loaded_cooc.doc_len == cooc.doc_len == [3, 0, 4]
-        assert loaded_cooc.positions == cooc.positions
-        assert loaded_cooc.unigram_window_count == cooc.unigram_window_count
-        assert loaded_cooc.total_windows == cooc.total_windows == 5
+        assert loaded_index.postings == postings
+        assert loaded_index.doc_len == doc_len
+        assert loaded_cooc.doc_len == [3, 0, 4]
+        assert loaded_cooc.positions == {
+            "kala": {0: [0], 2: [1]}, "talo": {0: [1], 2: [2]},
+            "kalat": {0: [2], 2: [3]}, "talot": {2: [0]}}
+        _, unigram, total = window_cooccurrence_bruteforce(
+            [tokens for _, tokens in token_docs], 2)
+        assert loaded_cooc.unigram_window_count == unigram
+        assert loaded_cooc.total_windows == total == 5
 
     def test_mined_rules_file(self, pipeline):
         text = open(pipeline.rules_file, encoding="utf-8").read()
@@ -335,6 +336,32 @@ class TestCliPipeline:
         assert rc == 0
         assert load_config(emitted).mode == "ag"
 
+    def test_tune_thresholds_loads_no_unused_cooccurrence(self, pipeline, capsys,
+                                                          monkeypatch):
+        argv = [
+            "tune-thresholds",
+            "--dictionary", pipeline.paths["dictionary"],
+            "--topics", pipeline.paths["topics"],
+            "--index-dir", pipeline.index_dir,
+            "--rules-file", pipeline.rules_file,
+            "--qrels", pipeline.paths["qrels"],
+            "--weighting", "unif", "--no-require-context",
+            "--tau-grid", "0.01",
+            "--folds", "2",
+        ]
+        capsys.readouterr()
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_cooccurrence called")
+
+        # Neither the weighting nor the context filter reads the table.
+        monkeypatch.setattr(corpus, "load_cooccurrence", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
+        assert "mean_test_map" in report
+
     def test_monolingual_mode_skips_dictionary(self, pipeline, tmp_path):
         q = tmp_path / "q.tsv"
         rc = main([
@@ -372,12 +399,10 @@ class TestQueryTimeWindow:
         return tmp_path
 
     def library_queries(self, weighting, window, out):
-        cooc = CooccurrenceTable(window)
-        for doc in self.DOCS:
-            cooc.add_document(tokenize(doc.text))
+        index, cooc = tables(self.DOCS, window)
         query = build_weighted_query(
             "q1", ["fish", "house"], BilingualDictionary(self.ENTRIES),
-            weighting=weighting, index=build_index(self.DOCS), cooc=cooc)
+            weighting=weighting, index=index, cooc=cooc)
         save_weighted_queries([query], out)
         return out.read_bytes()
 

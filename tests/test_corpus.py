@@ -12,7 +12,6 @@ from affixgen.corpus import (
     Document,
     PairCountMemo,
     StopwordList,
-    build_index,
     load_cooccurrence,
     load_index,
     load_pos_lexicon,
@@ -21,14 +20,8 @@ from affixgen.corpus import (
     save_index,
     tokenize,
 )
-from oracles import window_cooccurrence_bruteforce
-
-
-def cooccurrence(docs, window_size):
-    table = CooccurrenceTable(window_size)
-    for doc in docs:
-        table.add_document(tokenize(doc.text))
-    return table
+from oracles import index_bruteforce, window_cooccurrence_bruteforce
+from tables import cooc_of, index_of, token_stream
 
 
 def assert_counts_match_bruteforce(table, docs, vocab):
@@ -74,7 +67,7 @@ class TestTokenize:
 class TestCollectionIndex:
     def test_small_example(self):
         docs = [Document("d1", "apple banana apple"), Document("d2", "banana cherry")]
-        index = build_index(docs)
+        index = index_of(docs)
         assert index.num_docs == 2
         assert index.total_tokens == 5
         assert index.tf("apple", "d1") == 2
@@ -84,11 +77,6 @@ class TestCollectionIndex:
         assert index.doc_len["d2"] == 2
         assert index.vocabulary == {"apple", "banana", "cherry"}
 
-    def test_duplicate_doc_id_rejected(self):
-        docs = [Document("x", "a"), Document("x", "b")]
-        with pytest.raises(ValueError, match="x"):
-            build_index(docs)
-
     def test_statistics_consistent_on_random_corpora(self):
         rng = random.Random(42)
         vocab = ["w" + chr(ord("a") + i) for i in range(26)]
@@ -97,7 +85,10 @@ class TestCollectionIndex:
                 Document(f"d{d}", " ".join(rng.choices(vocab, k=rng.randint(0, 40))))
                 for d in range(rng.randint(1, 15))
             ]
-            index = build_index(docs)
+            index = index_of(docs)
+            postings, doc_len, collection_freq = index_bruteforce(token_stream(docs))
+            assert (index.postings, index.doc_len, index.collection_freq) == (
+                postings, doc_len, collection_freq)
             assert sum(index.doc_len.values()) == index.total_tokens
             for term in index.vocabulary:
                 assert index.cf(term) == sum(index.postings[term].values())
@@ -107,39 +98,38 @@ class TestCollectionIndex:
 
 class TestCooccurrence:
     def test_short_doc_single_truncated_window(self):
-        table = cooccurrence([Document("d", "a b")], 10)
+        table = cooc_of([Document("d", "a b")], 10)
         assert table.total_windows == 1
         assert table.pair_count("a", "b") == 1
         assert table.pair_count("b", "a") == 1
 
     def test_sliding_step_one(self):
-        table = cooccurrence([Document("d", "a b c")], 2)
+        table = cooc_of([Document("d", "a b c")], 2)
         assert table.total_windows == 2
         assert table.pair_count("a", "b") == 1
         assert table.pair_count("b", "c") == 1
         assert table.pair_count("a", "c") == 0
 
     def test_self_pairs_excluded(self):
-        table = cooccurrence([Document("d", "a a")], 2)
+        table = cooc_of([Document("d", "a a")], 2)
         assert table.pair_count("a", "a") == 0
         assert table.unigram_window_count["a"] == 1
         assert table.total_windows == 1
 
     def test_windows_never_cross_documents(self):
-        table = cooccurrence([Document("1", "a"), Document("2", "b")], 10)
+        table = cooc_of([Document("1", "a"), Document("2", "b")], 10)
         assert table.pair_count("a", "b") == 0
         assert table.total_windows == 2
 
     def test_pair_counted_once_per_window(self):
         # Repeats within one window still count the distinct pair once.
-        table = cooccurrence([Document("d", "a b a b")], 4)
+        table = cooc_of([Document("d", "a b a b")], 4)
         assert table.pair_count("a", "b") == 1
 
     def test_pair_count_memo_matches_the_table(self):
         rng = random.Random(23)
-        table = CooccurrenceTable(4)
-        for _ in range(30):
-            table.add_document([rng.choice("abcdefg") for _ in range(rng.randint(0, 12))])
+        table = cooc_of(
+            [[rng.choice("abcdefg") for _ in range(rng.randint(0, 12))] for _ in range(30)], 4)
         memo = PairCountMemo(table)
         for a in "abcdefgz":
             for b in "abcdefgz":
@@ -159,7 +149,7 @@ class TestCooccurrence:
                 return super().pair_count(a, b)
 
         table = CountingTable(3)
-        table.add_document(["a", "b", "c", "d"])
+        vars(table).update(vars(cooc_of([["a", "b", "c", "d"]], 3)))
         memo = PairCountMemo(table)
         assert [memo.pair_count(*p) for p in ("ab", "ba", "ab", "cb", "bc")] == [1, 1, 1, 2, 2]
         assert calls == [("a", "b"), ("b", "c")]
@@ -180,7 +170,7 @@ class TestCooccurrence:
             ]
             window = rng.randint(1, 12)
             docs = [Document(f"d{i}", " ".join(t)) for i, t in enumerate(token_docs)]
-            table = cooccurrence(docs, window)
+            table = cooc_of(docs, window)
             assert_counts_match_bruteforce(table, docs, vocab)
             for a in vocab:
                 for b in vocab:
@@ -263,10 +253,6 @@ class TestDocumentReaders:
             read_documents(path)
 
 
-def token_stream(docs):
-    return ((doc.doc_id, tokenize(doc.text)) for doc in docs)
-
-
 def save_snapshot(docs, directory):
     return save_index(token_stream(docs), directory)
 
@@ -300,16 +286,16 @@ class TestSnapshots:
     DOCS = [Document("d1", "a b c d e f a"), Document("d0", ""), Document("d2", "b c b")]
 
     def test_index_round_trip_and_reproducibility(self, tmp_path):
-        index = build_index(self.DOCS)
+        postings, doc_len, collection_freq = index_bruteforce(token_stream(self.DOCS))
         manifest = save_snapshot(self.DOCS, tmp_path / "snap")
         assert (manifest["num_docs"], manifest["total_tokens"], manifest["vocabulary_size"]) == (
             3, 10, 6)
         loaded = load_index(tmp_path / "snap")
-        assert loaded.postings == index.postings
-        assert loaded.doc_len == index.doc_len
+        assert loaded.postings == postings
+        assert loaded.doc_len == doc_len
         assert list(loaded.doc_len) == ["d1", "d0", "d2"]
-        assert loaded.collection_freq == index.collection_freq
-        assert loaded.total_tokens == index.total_tokens
+        assert loaded.collection_freq == collection_freq
+        assert loaded.total_tokens == sum(doc_len.values()) == 10
 
         # The same documents give the same bytes, written afresh or over a snapshot.
         first = snapshot_bytes(tmp_path / "snap")
@@ -318,14 +304,15 @@ class TestSnapshots:
         assert snapshot_bytes(tmp_path / "snap") == snapshot_bytes(tmp_path / "again") == first
 
     def test_cooccurrence_round_trip(self, tmp_path):
-        table = cooccurrence(self.DOCS, 3)
-        assert table.doc_len == [7, 0, 3]
         save_snapshot(self.DOCS, tmp_path)
         loaded = load_cooccurrence(tmp_path, 3)
-        assert loaded.window_size == table.window_size
-        assert loaded.positions == table.positions
-        assert loaded.doc_len == table.doc_len
-        assert loaded.total_windows == table.total_windows == 6
+        assert loaded.window_size == 3
+        # Documents are numbered by their line in doc_lens.tsv: d1, d0, d2.
+        assert loaded.positions == {
+            "a": {0: [0, 6]}, "b": {0: [1], 2: [0, 2]}, "c": {0: [2], 2: [1]},
+            "d": {0: [3]}, "e": {0: [4]}, "f": {0: [5]}}
+        assert loaded.doc_len == [7, 0, 3]
+        assert loaded.total_windows == 6
         assert_counts_match_bruteforce(loaded, self.DOCS, "abcdefg")
 
     def test_one_snapshot_serves_every_window(self, tmp_path):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from affixgen import disambig
-from affixgen.corpus import CooccurrenceTable, Document, build_index
+from affixgen.corpus import CooccurrenceTable, Document
 from affixgen.disambig import (
     JOINT,
     MUTUAL_INFORMATION,
@@ -15,13 +15,12 @@ from affixgen.disambig import (
     BilingualDictionary,
     QueryTerm,
     TranslationCandidateSet,
+    AssociationModel,
     WeightedQuery,
     baseline_weights,
     build_candidate_sets,
     build_weighted_query,
-    estimate_association,
     init_weights,
-    itd_step,
     itd_weights,
     joint_weights_2g,
     load_dictionary,
@@ -32,6 +31,8 @@ from affixgen.disambig import (
 )
 from affixgen.morphgen import FormationCandidate, NoiseFilterConfig
 from affixgen.rules import TransformationRule
+from oracles import itd_step
+from tables import cooc_of, index_of
 
 
 EMPTY_RULE = TransformationRule((), "UNK")
@@ -94,65 +95,41 @@ class TestLoaders:
 
 class TestAssociationModel:
     def test_joint_probability(self):
-        table = CooccurrenceTable(2)
-        table.add_document(["a", "b"])
-        table.add_document(["a", "b"])
-        for _ in range(8):
-            table.add_document(["p", "q"])
-        model = estimate_association(table, JOINT)
+        table = cooc_of([["a", "b"]] * 2 + [["p", "q"]] * 8, 2)
+        model = AssociationModel(table, JOINT)
         assert model.edge("a", "b") == pytest.approx(0.2)
         assert model.edge("b", "a") == pytest.approx(0.2)
         assert model.edge("a", "q") == 0.0
 
     def test_mutual_information_zero_at_independence(self):
-        table = CooccurrenceTable(2)
-        for _ in range(2):
-            table.add_document(["a", "b"])
-        for _ in range(2):
-            table.add_document(["a", "x"])
-        for _ in range(3):
-            table.add_document(["b", "y"])
-        for _ in range(3):
-            table.add_document(["p", "q"])
-        model = estimate_association(table, MUTUAL_INFORMATION)
+        table = cooc_of(
+            [["a", "b"]] * 2 + [["a", "x"]] * 2 + [["b", "y"]] * 3 + [["p", "q"]] * 3, 2)
+        model = AssociationModel(table, MUTUAL_INFORMATION)
         # pair 2, windows 10, marginals 4 and 5: ln(2*10 / (4*5)) = 0.
         assert model.edge("a", "b") == 0.0
 
     def test_mutual_information_positive(self):
-        table = CooccurrenceTable(2)
-        for _ in range(4):
-            table.add_document(["c", "d"])
-        for _ in range(6):
-            table.add_document(["p", "q"])
-        model = estimate_association(table, MUTUAL_INFORMATION)
+        table = cooc_of([["c", "d"]] * 4 + [["p", "q"]] * 6, 2)
+        model = AssociationModel(table, MUTUAL_INFORMATION)
         assert model.edge("c", "d") == pytest.approx(math.log(2.5))
 
     def test_mutual_information_clamped_at_zero(self):
-        table = CooccurrenceTable(2)
-        table.add_document(["a", "b"])
-        for _ in range(4):
-            table.add_document(["a", "x"])
-        for _ in range(3):
-            table.add_document(["b", "y"])
-        for _ in range(2):
-            table.add_document(["p", "q"])
-        model = estimate_association(table, MUTUAL_INFORMATION)
+        table = cooc_of(
+            [["a", "b"]] + [["a", "x"]] * 4 + [["b", "y"]] * 3 + [["p", "q"]] * 2, 2)
+        model = AssociationModel(table, MUTUAL_INFORMATION)
         # ln(1*10 / (5*4)) < 0 clamps to zero.
         assert model.edge("a", "b") == 0.0
 
     def test_self_association_is_zero(self):
-        table = CooccurrenceTable(2)
-        table.add_document(["a", "a", "b"])
-        model = estimate_association(table, JOINT)
+        model = AssociationModel(cooc_of([["a", "a", "b"]], 2), JOINT)
         assert model.edge("a", "a") == 0.0
 
     def test_bad_kind_and_empty_table(self):
-        table = CooccurrenceTable(2)
-        table.add_document(["a", "b"])
+        table = cooc_of([["a", "b"]], 2)
         with pytest.raises(ValueError, match="kind"):
-            estimate_association(table, "pmi")
+            AssociationModel(table, "pmi")
         with pytest.raises(ValueError, match="nonempty"):
-            estimate_association(CooccurrenceTable(2), JOINT)
+            AssociationModel(cooc_of([], 2), JOINT)
 
 
 class TestIterativeWeighting:
@@ -235,12 +212,9 @@ class TestIterativeWeighting:
                 for _ in range(40)
             }
         )[:20]
-        table = CooccurrenceTable(4)
-        for _ in range(30):
-            table.add_document(
-                [rng.choice(vocab) for _ in range(rng.randint(4, 12))]
-            )
-        assoc = estimate_association(table, MUTUAL_INFORMATION)
+        table = cooc_of(
+            [[rng.choice(vocab) for _ in range(rng.randint(4, 12))] for _ in range(30)], 4)
+        assoc = AssociationModel(table, MUTUAL_INFORMATION)
         start = init_weights(
             [
                 TranslationCandidateSet(f"t{i}", rng.sample(vocab, 5))
@@ -291,12 +265,9 @@ class TestIterativeWeighting:
                     for _ in range(50)
                 }
             )[:25]
-            table = CooccurrenceTable(4)
-            for _ in range(40):
-                table.add_document(
-                    [rng.choice(vocab) for _ in range(rng.randint(4, 10))]
-                )
-            assoc = estimate_association(table, MUTUAL_INFORMATION)
+            table = cooc_of(
+                [[rng.choice(vocab) for _ in range(rng.randint(4, 10))] for _ in range(40)], 4)
+            assoc = AssociationModel(table, MUTUAL_INFORMATION)
             sets = init_weights(
                 [
                     TranslationCandidateSet(f"t{i}", rng.sample(vocab, 5))
@@ -345,31 +316,26 @@ class TestIterativeWeighting:
 
 class TestJointWeighting:
     def table(self):
-        table = CooccurrenceTable(2)
-        for _ in range(3):
-            table.add_document(["ax", "bx"])
-        table.add_document(["ay", "bx"])
-        table.add_document(["pad", "qad"])
-        return table
+        return cooc_of([["ax", "bx"]] * 3 + [["ay", "bx"], ["pad", "qad"]], 2)
 
     def test_hand_weights(self):
         sets = [
             TranslationCandidateSet("t1", ["ax", "ay"]),
             TranslationCandidateSet("t2", ["bx"]),
         ]
-        out = joint_weights_2g(sets, estimate_association(self.table(), JOINT))
+        out = joint_weights_2g(sets, AssociationModel(self.table(), JOINT))
         assert out[0].dict_weights == pytest.approx([0.75, 0.25])
         assert out[1].dict_weights == [1.0]
 
     def test_requires_joint_model(self):
         sets = [TranslationCandidateSet("t1", ["ax"])]
-        model = estimate_association(self.table(), MUTUAL_INFORMATION)
+        model = AssociationModel(self.table(), MUTUAL_INFORMATION)
         with pytest.raises(ValueError, match="joint"):
             joint_weights_2g(sets, model)
 
     def test_single_term_query_is_uniform(self):
         sets = [TranslationCandidateSet("t1", ["ax", "ay", "bx"])]
-        out = joint_weights_2g(sets, estimate_association(self.table(), JOINT))
+        out = joint_weights_2g(sets, AssociationModel(self.table(), JOINT))
         assert out[0].dict_weights == pytest.approx([1 / 3] * 3)
 
     def test_all_zero_scores_fall_back_to_uniform(self):
@@ -377,21 +343,17 @@ class TestJointWeighting:
             TranslationCandidateSet("t1", ["ax", "ay"]),
             TranslationCandidateSet("t2", ["nowhere"]),
         ]
-        out = joint_weights_2g(sets, estimate_association(self.table(), JOINT))
+        out = joint_weights_2g(sets, AssociationModel(self.table(), JOINT))
         assert out[0].dict_weights == [0.5, 0.5]
         assert out[1].dict_weights == [1.0]
 
     def test_formations_scored_against_dictionary_only(self):
-        table = CooccurrenceTable(2)
-        for _ in range(5):
-            table.add_document(["fb", "fa"])
-        table.add_document(["fa", "b"])
-        table.add_document(["a", "x"])
+        table = cooc_of([["fb", "fa"]] * 5 + [["fa", "b"], ["a", "x"]], 2)
         sets = [
             TranslationCandidateSet("t1", ["a"], [formation("fa", "a")]),
             TranslationCandidateSet("t2", ["b"], [formation("fb", "b")]),
         ]
-        out = joint_weights_2g(sets, estimate_association(table, JOINT))
+        out = joint_weights_2g(sets, AssociationModel(table, JOINT))
         # fb pairs strongly with the formation fa, but formations only score
         # against the other term's dictionary candidates, so fb gets nothing.
         assert out[1].formation_weights == [0.0]
@@ -417,15 +379,13 @@ class TestBaselines:
         assert out[0].formation_weights == [0.0]
 
     def test_collection_frequency(self):
-        index = build_index(
-            [Document("d1", "x x x y"), Document("d2", "y z")]
-        )
+        index = index_of([Document("d1", "x x x y"), Document("d2", "y z")])
         out = baseline_weights(self.sets(), "coll", index)
         assert out[0].dict_weights == pytest.approx([0.6, 0.4])
         assert out[1].dict_weights == [1.0]
 
     def test_collection_frequency_fallback(self):
-        index = build_index([Document("d1", "unrelated words")])
+        index = index_of([Document("d1", "unrelated words")])
         out = baseline_weights(self.sets(), "coll", index)
         assert out[0].dict_weights == [0.5, 0.5]
 
@@ -502,17 +462,14 @@ class TestCandidateSets:
             cfg,
         )
         d = BilingualDictionary({"cat": ["gato"]})
-        cooc = CooccurrenceTable(window_size=3)
-        cooc.add_document(["gato", "gatos"])
-        cooc.add_document(["gatic", "luna"])
+        cooc = cooc_of([["gato", "gatos"], ["gatic", "luna"]], 3)
         sets = build_candidate_sets(["cat"], d, mode="ag", generator=gen, cooc=cooc)
         # "gatos" co-occurs with the anchor "gato"; "gatic" never does.
         assert [f.surface for f in sets[0].formations] == ["gatos"]
 
         with pytest.raises(ValueError, match="needs a co-occurrence"):
             build_candidate_sets(["cat"], d, mode="ag", generator=gen)
-        wrong = CooccurrenceTable(window_size=5)
-        wrong.add_document(["gato", "gatos"])
+        wrong = cooc_of([["gato", "gatos"]], 5)
         with pytest.raises(ValueError, match="does not match"):
             build_candidate_sets(
                 ["cat"], d, mode="ag", generator=gen, cooc=wrong
@@ -563,8 +520,7 @@ class TestWeightedQueries:
         cfg = NoiseFilterConfig(require_context=False, min_len={1: 1, 2: 1, 3: 1})
         gen = StubGenerator({"gato": [formation("gatos", "gato", 0.5)]}, cfg)
         d = BilingualDictionary({"cat": ["gato"]})
-        cooc = CooccurrenceTable(10)
-        cooc.add_document(["gato", "gatos"])
+        cooc = cooc_of([["gato", "gatos"]], 10)
         q = build_weighted_query(
             "7", ["cat"], d, mode="ag", weighting="2g", generator=gen, cooc=cooc
         )
@@ -582,9 +538,7 @@ class TestWeightedQueries:
 
         rng = random.Random(43)
         words = ["gato", "gatos", "perro", "perros", "luna", "lunas", "sol"]
-        table = CooccurrenceTable(4)
-        for _ in range(20):
-            table.add_document([rng.choice(words) for _ in range(6)])
+        table = cooc_of([[rng.choice(words) for _ in range(6)] for _ in range(20)], 4)
         cfg = NoiseFilterConfig(context_window=4, min_len={1: 1, 2: 1, 3: 1})
         gen = StubGenerator({"gato": [formation("gatos", "gato")],
                              "perro": [formation("perros", "perro")],
@@ -614,9 +568,7 @@ class TestWeightedQueries:
         d = BilingualDictionary(
             {f"s{i}": rng.sample(words, rng.randint(1, 4)) for i in range(8)}
         )
-        table = CooccurrenceTable(4)
-        for _ in range(25):
-            table.add_document([rng.choice(words) for _ in range(6)])
+        table = cooc_of([[rng.choice(words) for _ in range(6)] for _ in range(25)], 4)
         for weighting in ("unif", "top1", "itd", "2g"):
             q = build_weighted_query(
                 "7",
@@ -667,4 +619,12 @@ class TestWeightedQueries:
         path.write_text("1\ta\t0.5\tdictionary\n1\tb\tnotanumber\tdictionary\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}: line 2: .*'notanumber'"):
+            load_weighted_queries(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-0.5", "NaN", "Infinity"])
+    def test_load_rejects_a_weight_that_is_not_finite_or_negative(self, tmp_path, weight):
+        path = tmp_path / "queries.tsv"
+        path.write_text(f"1\ta\t0.5\tdictionary\n1\tb\t{weight}\tdictionary\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line 2: weight '{weight}' is not"):
             load_weighted_queries(path)

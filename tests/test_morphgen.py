@@ -5,22 +5,20 @@ import random
 
 import pytest
 
-from affixgen.corpus import CooccurrenceTable, PosLexicon, build_index
+from affixgen.corpus import PosLexicon
+from affixgen.disambig import BilingualDictionary, build_candidate_sets
 from affixgen.morphgen import (
     FormationCandidate,
     FormationGenerator,
     NoiseFilterConfig,
     apply_rule,
     context_filter,
-    generate_formations,
     load_stem_table,
     ngram_split,
     save_formations,
-    stem_hook,
 )
 from affixgen.rules import (
     Action,
-    MedConfig,
     RuleTable,
     TransformationRule,
     mine_rules,
@@ -28,6 +26,7 @@ from affixgen.rules import (
 )
 from oracles import generate_formations_bruteforce, indel_distance_lcs
 from synthcorpus import build_world
+from tables import cooc_of, index_of
 
 
 def rule_of(*actions, tag="UNK"):
@@ -80,22 +79,22 @@ class TestFormationGenerator:
         other = rule_of(("i", "e", "x"))
         rules = table_of([(plural, 3), (other, 2)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.5, min_len={1: 1, 2: 1, 3: 1})
-        got = generate_formations("cat", {"cat", "cats", "dog"}, rules, cfg=cfg)
+        got = FormationGenerator({"cat", "cats", "dog"}, rules, cfg=cfg).generate("cat")
         assert got == [FormationCandidate("cats", "cat", plural, 0.6)]
 
     def test_low_probability_rules_are_dropped(self):
         plural = rule_of(("i", "e", "s"))
         rules = table_of([(plural, 1), (rule_of(("i", "e", "x")), 9)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.5, min_len={1: 1, 2: 1, 3: 1})
-        assert generate_formations("cat", {"cat", "cats"}, rules, cfg=cfg) == []
+        assert FormationGenerator({"cat", "cats"}, rules, cfg=cfg).generate("cat") == []
 
     def test_surface_length_floor_scales_with_distance(self):
         rules = table_of([(rule_of(("i", "e", "s")), 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 5, 2: 5, 3: 6})
-        got = generate_formations("cat", {"cat", "cats"}, rules, cfg=cfg)
+        got = FormationGenerator({"cat", "cats"}, rules, cfg=cfg).generate("cat")
         assert got == []
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 4, 2: 5, 3: 6})
-        got = generate_formations("cat", {"cat", "cats"}, rules, cfg=cfg)
+        got = FormationGenerator({"cat", "cats"}, rules, cfg=cfg).generate("cat")
         assert [c.surface for c in got] == ["cats"]
 
     def test_missing_min_len_entry_is_an_error(self):
@@ -108,7 +107,7 @@ class TestFormationGenerator:
     def test_word_never_generates_itself(self):
         rules = table_of([(rule_of(("i", "e", "s")), 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})
-        got = generate_formations("cats", {"cats"}, rules, cfg=cfg)
+        got = FormationGenerator({"cats"}, rules, cfg=cfg).generate("cats")
         assert got == []
 
     def test_results_sorted_by_probability_then_surface(self):
@@ -121,7 +120,7 @@ class TestFormationGenerator:
             ]
         )
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})
-        got = generate_formations("hal", vocab, rules, cfg=cfg)
+        got = FormationGenerator(vocab, rules, cfg=cfg).generate("hal")
         assert [c.surface for c in got] == ["halc", "ahal", "bhal"]
 
     def test_pos_tags_route_rule_lookup(self):
@@ -129,10 +128,10 @@ class TestFormationGenerator:
         plural_n = rule_of(("i", "e", "s"), tag="N")
         rules = table_of([(plural_n, 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.5, min_len={1: 1, 2: 1, 3: 1})
-        got = generate_formations("cat", {"cat", "cats"}, rules, lex, cfg)
+        got = FormationGenerator({"cat", "cats"}, rules, lex, cfg).generate("cat")
         assert [c.rule for c in got] == [plural_n]
         # Without the lexicon the word tags UNK and the N-only rule never fires.
-        assert generate_formations("cat", {"cat", "cats"}, rules, cfg=cfg) == []
+        assert FormationGenerator({"cat", "cats"}, rules, cfg=cfg).generate("cat") == []
 
     def test_unknown_characters_count_toward_distance(self):
         rules = table_of([(rule_of(("i", "e", "s")), 1)])
@@ -140,18 +139,8 @@ class TestFormationGenerator:
         gen = FormationGenerator({"cats"}, rules, cfg=cfg)
         assert gen.generate("caxyzt") == []
 
-    def test_reusable_generator_matches_one_shot(self):
-        rng = random.Random(31)
-        vocab = {"".join(rng.choice("abcd") for _ in range(rng.randint(3, 7)))
-                 for _ in range(60)}
-        rules = mine_rules(vocab)
-        cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})
-        gen = FormationGenerator(vocab, rules, cfg=cfg)
-        for w in sorted(vocab)[:15]:
-            assert gen.generate(w) == generate_formations(w, vocab, rules, cfg=cfg)
-
     def test_generate_matches_bruteforce_on_the_synthetic_world(self):
-        vocab = sorted(build_index(build_world().documents).vocabulary)
+        vocab = sorted(index_of(build_world().documents).vocabulary)
         rules = mine_rules(vocab)
         gen_zero = FormationGenerator(vocab, rules, cfg=NoiseFilterConfig(rule_prob_threshold=0.0))
         gen_default = FormationGenerator(vocab, rules)
@@ -186,17 +175,17 @@ class TestFormationGenerator:
         rules = mine_rules(vocab)
         word = sorted(vocab)[0]
         loose = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 0, 2: 0, 3: 0})
-        base = {c.surface for c in generate_formations(word, vocab, rules, cfg=loose)}
+        base = {c.surface for c in FormationGenerator(vocab, rules, cfg=loose).generate(word)}
         for tau in (0.01, 0.05, 0.2, 0.9):
             cfg = NoiseFilterConfig(rule_prob_threshold=tau, min_len={1: 0, 2: 0, 3: 0})
-            got = {c.surface for c in generate_formations(word, vocab, rules, cfg=cfg)}
+            got = {c.surface for c in FormationGenerator(vocab, rules, cfg=cfg).generate(word)}
             assert got <= base
         for floor in (4, 5, 6, 9):
             cfg = NoiseFilterConfig(
                 rule_prob_threshold=0.0,
                 min_len={1: floor, 2: floor, 3: floor},
             )
-            got = {c.surface for c in generate_formations(word, vocab, rules, cfg=cfg)}
+            got = {c.surface for c in FormationGenerator(vocab, rules, cfg=cfg).generate(word)}
             assert got <= base
 
     def test_empty_vocabulary(self):
@@ -206,10 +195,7 @@ class TestFormationGenerator:
 
 class TestContextFilter:
     def cooc(self):
-        table = CooccurrenceTable(window_size=5)
-        table.add_document(["gato", "gatos", "perro"])
-        table.add_document(["luna", "sol"])
-        return table
+        return cooc_of([["gato", "gatos", "perro"], ["luna", "sol"]], 5)
 
     def test_keeps_candidates_seen_with_an_anchor(self):
         cand = FormationCandidate("gatos", "gato", rule_of(("i", "e", "s")), 0.5)
@@ -247,14 +233,17 @@ class TestNgramSplit:
 
 class TestStemming:
     def test_identity_without_stemmer(self):
-        assert stem_hook("running") == "running"
+        # Stem mode without a stemmer keeps each candidate as it is, once.
+        d = BilingualDictionary({"run": ["running", "ran", "running"]})
+        sets = build_candidate_sets(["run"], d, mode="stem")
+        assert sets[0].dict_candidates == ["running", "ran"]
 
     def test_table_stemmer(self, tmp_path):
         path = tmp_path / "stems.tsv"
         path.write_text("running\trun\ncats\tcat\n", encoding="utf-8")
         stem = load_stem_table(path)
-        assert stem_hook("running", stem) == "run"
-        assert stem_hook("unknown", stem) == "unknown"
+        assert stem("running") == "run"
+        assert stem("unknown") == "unknown"
 
     def test_malformed_stem_line(self, tmp_path):
         path = tmp_path / "stems.tsv"

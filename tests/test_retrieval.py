@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from affixgen.corpus import Document, build_index
+from affixgen.corpus import Document
 from affixgen.disambig import PROV_DICTIONARY, PROV_FEEDBACK, QueryTerm, WeightedQuery
 from affixgen.retrieval import (
     RECALL_LEVELS,
@@ -35,6 +35,7 @@ from oracles import (
     mixture_loglikelihood,
     precision_at_k_bruteforce,
 )
+from tables import index_of
 
 
 def query(qid, dist, prov=PROV_DICTIONARY):
@@ -69,7 +70,7 @@ class TestRetrievalConfig:
 
 class TestScoreKl:
     def three_doc_index(self):
-        return build_index(
+        return index_of(
             [
                 Document("d1", "apple banana apple"),
                 Document("d2", "banana cherry"),
@@ -99,7 +100,7 @@ class TestScoreKl:
         rng = random.Random(51)
         for _ in range(40):
             docs = random_collection(rng)
-            index = build_index(docs)
+            index = index_of(docs)
             token_docs = {d.doc_id: d.text.split() for d in docs}
             dist = {
                 rng.choice("abcdefg"): rng.random() for _ in range(rng.randint(1, 4))
@@ -114,7 +115,7 @@ class TestScoreKl:
                 assert got[doc_id] == pytest.approx(expected[doc_id], abs=1e-12)
 
     def test_ties_break_by_ascending_doc_id(self):
-        index = build_index(
+        index = index_of(
             [Document("db", "x y"), Document("da", "x y"), Document("dc", "z z")]
         )
         ranking = score_kl(query("q", {"x": 1.0}), index)
@@ -137,7 +138,7 @@ class TestScoreKl:
         with pytest.raises(ValueError, match="empty"):
             score_kl(WeightedQuery("q", []), index)
         with pytest.raises(ValueError, match="empty index"):
-            score_kl(query("q", {"a": 1.0}), build_index([]))
+            score_kl(query("q", {"a": 1.0}), index_of([]))
 
 
 def assert_exact_mle(counts, index, noise, em_ll):
@@ -169,13 +170,13 @@ def assert_exact_mle(counts, index, noise, em_ll):
 
 class TestFeedback:
     def test_noiseless_fit_recovers_count_proportions(self):
-        index = build_index([Document("d1", "a a b"), Document("d2", "c c c c")])
+        index = index_of([Document("d1", "a a b"), Document("d2", "c c c c")])
         probs = feedback_model({"a": 2, "b": 1}, index, noise=0.0)
         assert probs["a"] == pytest.approx(2 / 3, abs=1e-12)
         assert probs["b"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_pure_noise_returns_uniform(self):
-        index = build_index([Document("d1", "a a b")])
+        index = index_of([Document("d1", "a a b")])
         probs = feedback_model({"a": 2, "b": 1}, index, noise=1.0)
         assert probs == {"a": 0.5, "b": 0.5}
 
@@ -184,7 +185,7 @@ class TestFeedback:
         rng = random.Random(61)
         for _ in range(20):
             docs = random_collection(rng, num_docs=5)
-            index = build_index(docs)
+            index = index_of(docs)
             counts = {
                 t: rng.randint(1, 6)
                 for t in rng.sample(sorted(index.collection_freq), 4)
@@ -202,7 +203,7 @@ class TestFeedback:
         rng = random.Random(63)
         for _ in range(40):
             docs = random_collection(rng, num_docs=6, vocab="abcdefghij", max_len=15)
-            index = build_index(docs)
+            index = index_of(docs)
             vocab = sorted(index.collection_freq)
             counts = {
                 t: rng.randint(1, 9)
@@ -230,7 +231,7 @@ class TestFeedback:
     def test_exact_solution_where_em_crawls(self, counts, cf, noise, expected):
         # EM's log-likelihood levels off here while its probabilities are
         # still far from the optimum (0.5 against 4/7 on the tie).
-        index = build_index(
+        index = index_of(
             [Document(t, " ".join([t] * n)) for t, n in sorted(cf.items())]
         )
         assert feedback_model(counts, index, noise) == pytest.approx(expected, abs=1e-9)
@@ -240,7 +241,7 @@ class TestFeedback:
         assert_exact_mle(counts, index, noise, history[-1])
 
     def test_empty_counts_rejected(self):
-        index = build_index([Document("d1", "a")])
+        index = index_of([Document("d1", "a")])
         with pytest.raises(ValueError, match="no feedback"):
             feedback_model({}, index, noise=0.5)
 
@@ -250,7 +251,7 @@ class TestFeedback:
         rng = random.Random(64)
         for _ in range(60):
             docs = random_collection(rng, num_docs=12, vocab="aaaabbbcdefgh", max_len=10)
-            index = build_index(docs)
+            index = index_of(docs)
             prf_docs = rng.randint(1, 8)
             ranked = rng.sample([d.doc_id for d in docs], rng.randint(1, 12))
             ranking = [(doc_id, -float(i)) for i, doc_id in enumerate(ranked)]
@@ -269,13 +270,13 @@ class TestFeedback:
                 assert dist[t] == pytest.approx(c / total, abs=1e-12)
 
     def test_zero_lambda_returns_query_untouched(self):
-        index = build_index([Document("d1", "x x y")])
+        index = index_of([Document("d1", "x x y")])
         q = query("q", {"x": 1.0})
         cfg = RetrievalConfig(prf_lambda=0.0)
         assert prf_mixture([("d1", -1.0)], index, cfg, q) is q
 
     def test_interpolation_hand_values(self):
-        index = build_index([Document("d1", "x x y")])
+        index = index_of([Document("d1", "x x y")])
         q = query("q", {"x": 1.0})
         cfg = RetrievalConfig(mu=10, prf_docs=1, prf_lambda=0.5, prf_noise=0.0)
         expanded = prf_mixture([("d1", -1.0)], index, cfg, q)
@@ -287,7 +288,7 @@ class TestFeedback:
         assert prov == {"x": PROV_DICTIONARY, "y": PROV_FEEDBACK}
 
     def test_feedback_vocabulary_truncation(self):
-        index = build_index([Document("d1", "x x x y z")])
+        index = index_of([Document("d1", "x x x y z")])
         q = query("q", {"x": 1.0})
         cfg = RetrievalConfig(mu=10, prf_docs=1, prf_terms=1, prf_lambda=0.5,
                               prf_noise=0.0)
@@ -298,7 +299,7 @@ class TestFeedback:
     def test_run_queries_with_and_without_feedback(self):
         rng = random.Random(62)
         docs = random_collection(rng, num_docs=6)
-        index = build_index(docs)
+        index = index_of(docs)
         queries = [query("q1", {"a": 0.7, "b": 0.3}), query("q2", {"c": 1.0})]
         plain = run_queries(queries, index, RetrievalConfig(mu=50), run_tag="t")
         assert plain.run_tag == "t"
@@ -315,7 +316,7 @@ class TestFeedback:
     def test_top_k_below_prf_docs_keeps_every_feedback_document(self):
         rng = random.Random(65)
         docs = random_collection(rng, num_docs=10)
-        index = build_index(docs)
+        index = index_of(docs)
         q = query("q1", {"a": 0.6, "b": 0.4})
         cfg = RetrievalConfig(mu=50, top_k=2, prf_docs=6)
         first = score_kl(q, index, RetrievalConfig(mu=50, prf_docs=6))
@@ -372,7 +373,6 @@ class TestRunAndQrelsFiles:
         )
         qrels = load_qrels(path)
         assert qrels.relevant == {"q1": {"d1"}, "q2": {"d3"}, "q3": set()}
-        assert qrels.queries() == {"q1", "q2", "q3"}
 
     def test_qrels_validation(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -395,6 +395,25 @@ class TestRunAndQrelsFiles:
             path.write_text(f"q1 Q0 d1 1 -1.0 tag\n{line}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")):
                 load_run(path)
+
+    def test_run_repeated_document_rejected(self, tmp_path):
+        # Counted twice, one relevant document would give an AP of 2.
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 -1.0 t\nq2 Q0 d1 1 -1.0 t\nq1 Q0 d1 2 -2.0 t\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 3: document 'd1' is already ranked for query 'q1'")):
+            load_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_run_non_finite_score_rejected(self, tmp_path, score):
+        # A nan between -1.0 and -0.5 would hide the increase between them.
+        path = tmp_path / "run.txt"
+        path.write_text(f"q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 {score} t\nq1 Q0 d3 3 -0.5 t\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 2: score '{score}' is not finite")):
+            load_run(path)
 
 
 class TestEvaluate:
