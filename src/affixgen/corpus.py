@@ -3,12 +3,15 @@
 Documents are tokenized into lowercase letter runs. A snapshot, written
 by ``save_index``, stores only what the corpus determines: each document's
 length and each term's token positions, described by one manifest. Both
-tables are built only by reading a snapshot: ``load_index`` gives an
-inverted index with document lengths and collection frequencies (a term
-frequency is a position count, and documents are numbered by their line in
-the lengths file), and ``load_cooccurrence`` sliding w-token window counts
-for the window the reader asks for: a token at position p of an n-token
-document lies in the windows starting in [max(0, p - w + 1), min(p, n - w)].
+tables are built only by reading a snapshot: ``load_index`` gives an array
+index, term-major CSR postings and a doc-major forward slice with the
+document lengths and collection frequencies (a term frequency is a position
+count, documents are numbered by their line in the lengths file and terms
+by their order in the positions file), and ``load_cooccurrence`` sliding
+w-token window counts for the window the reader asks for: a token at
+position p of an n-token document lies in the windows starting in
+[max(0, p - w + 1), min(p, n - w)]. Both loaders accept positions rows only
+as ``save_index`` writes them.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ import json
 import operator
 import os
 import re
+from array import array
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .config import ExperimentConfig
 
@@ -78,36 +85,122 @@ def tokenize(text: str, stopwords: StopwordList | None = None) -> list[str]:
 
 
 class CollectionIndex:
-    """Inverted index with document lengths and collection term frequencies."""
+    """Postings as arrays: a term-major CSR and a doc-major forward slice.
 
-    def __init__(self) -> None:
-        self.postings: dict[str, dict[str, int]] = {}
-        self.doc_len: dict[str, int] = {}
-        self.collection_freq: Counter[str] = Counter()
-        self.total_tokens: int = 0
+    Document d is line d of the snapshot's ``doc_lens.tsv`` (id
+    ``doc_ids[d]``, ``lengths[d]`` tokens) and term t is the t-th term of
+    ``positions.tsv``, whose terms ascend. Term t's postings are the
+    ascending document numbers ``term_docs[term_ptr[t]:term_ptr[t + 1]]``
+    with their term frequencies in ``term_tfs``; document d's terms are the
+    ascending term ids ``doc_terms[doc_ptr[d]:doc_ptr[d + 1]]`` with theirs
+    in ``doc_tfs``. ``term_cf`` holds each term's collection frequency,
+    ``id_rank`` each document's rank by id, which breaks score ties, and
+    ``lengths`` equals ``length_values[length_of]`` (the distinct lengths,
+    ascending). ``postings``, ``doc_len`` and ``collection_freq`` are
+    read-only mapping views of these arrays, keyed by term and document id.
+    """
+
+    def __init__(self, doc_ids: list[str], lengths: Sequence[int], terms: list[str],
+                 term_ptr: Sequence[int], term_docs: Sequence[int],
+                 term_tfs: Sequence[int]) -> None:
+        self.doc_ids, self.terms = doc_ids, terms
+        self.doc_number = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+        self.term_id = {term: t for t, term in enumerate(terms)}
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.length_values, self.length_of = np.unique(self.lengths, return_inverse=True)
+        self.term_ptr = np.asarray(term_ptr, dtype=np.int64)
+        self.term_docs = np.asarray(term_docs, dtype=np.intc)
+        self.term_tfs = np.asarray(term_tfs, dtype=np.intc)
+        running = np.concatenate(([0], np.cumsum(self.term_tfs, dtype=np.int64)))
+        self.term_cf = running[self.term_ptr[1:]] - running[self.term_ptr[:-1]]
+        self.total_tokens = int(running[-1])
+        term_of = np.repeat(np.arange(len(terms), dtype=np.intc), np.diff(self.term_ptr))
+        by_doc = np.argsort(self.term_docs.astype(np.int64) * len(terms) + term_of)
+        self.doc_terms, self.doc_tfs = term_of[by_doc], self.term_tfs[by_doc]
+        self.doc_ptr = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.term_docs, minlength=len(doc_ids)), out=self.doc_ptr[1:])
+        by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        self.id_rank = np.empty(len(doc_ids), dtype=np.int64)
+        self.id_rank[by_id] = np.arange(len(doc_ids))
+
+    @property
+    def postings(self) -> Mapping[str, Mapping[str, int]]:
+        return _View(self.terms, self.term_id, lambda t: _Postings(self, t))
+
+    @property
+    def doc_len(self) -> Mapping[str, int]:
+        return _View(self.doc_ids, self.doc_number, lambda d: int(self.lengths[d]))
+
+    @property
+    def collection_freq(self) -> Mapping[str, int]:
+        return _View(self.terms, self.term_id, lambda t: int(self.term_cf[t]))
 
     @property
     def vocabulary(self) -> set[str]:
-        return set(self.postings)
+        return set(self.terms)
 
     @property
     def num_docs(self) -> int:
-        return len(self.doc_len)
+        return len(self.doc_ids)
 
     def tf(self, term: str, doc_id: str) -> int:
-        return self.postings.get(term, {}).get(doc_id, 0)
+        t = self.term_id.get(term)
+        return 0 if t is None else _Postings(self, t).get(doc_id, 0)
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, {}))
+        t = self.term_id.get(term)
+        return 0 if t is None else int(self.term_ptr[t + 1] - self.term_ptr[t])
 
     def cf(self, term: str) -> int:
-        return self.collection_freq.get(term, 0)
+        t = self.term_id.get(term)
+        return 0 if t is None else int(self.term_cf[t])
 
     def p_collection(self, term: str) -> float:
         """Maximum-likelihood collection language model p(t|C)."""
         if self.total_tokens == 0:
             return 0.0
-        return self.collection_freq.get(term, 0) / self.total_tokens
+        return self.cf(term) / self.total_tokens
+
+
+class _View(Mapping):
+    """Read-only mapping from names to values of the index's arrays."""
+
+    def __init__(self, names: list[str], number: dict[str, int], value: Callable) -> None:
+        self._names, self._number, self._value = names, number, value
+
+    def __getitem__(self, name: str):
+        return self._value(self._number[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._number
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+class _Postings(Mapping):
+    """Read-only ``doc_id -> tf`` mapping of term t's postings."""
+
+    def __init__(self, index: CollectionIndex, t: int) -> None:
+        lo, hi = index.term_ptr[t], index.term_ptr[t + 1]
+        self._docs, self._tfs = index.term_docs[lo:hi], index.term_tfs[lo:hi]
+        self._doc_ids, self._number = index.doc_ids, index.doc_number
+
+    def __getitem__(self, doc_id: str) -> int:
+        d = self._number[doc_id]
+        at = np.searchsorted(self._docs, d)
+        if at == len(self._docs) or self._docs[at] != d:
+            raise KeyError(doc_id)
+        return int(self._tfs[at])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._doc_ids.__getitem__, self._docs.tolist())
+
+    def __len__(self) -> int:
+        return len(self._docs)
 
 
 class CooccurrenceTable:
@@ -320,17 +413,20 @@ def load_index(directory: str | Path) -> CollectionIndex:
     """Read a snapshot's index; a term frequency is the term's position count."""
     directory = Path(directory)
     manifest, doc_ids, lens = _read_snapshot(directory)
-    index = CollectionIndex()
-    index.doc_len = dict(zip(doc_ids, lens))
-    index.total_tokens = sum(lens)
-    postings = index.postings
-    for _, term, doc, positions in _position_rows(directory, len(doc_ids)):
-        postings.setdefault(term, {})[doc_ids[doc]] = positions.count(",") + 1
-    index.collection_freq.update({term: sum(tfs.values()) for term, tfs in postings.items()})
+    terms: list[str] = []
+    term_ptr, term_docs, term_tfs = array("i"), array("i"), array("i")
+    for _, term, opens, doc, positions in _position_rows(directory, len(doc_ids)):
+        if opens:
+            terms.append(term)
+            term_ptr.append(len(term_docs))
+        term_docs.append(doc)
+        term_tfs.append(positions.count(",") + 1)
+    term_ptr.append(len(term_docs))
+    index = CollectionIndex(doc_ids, lens, terms, term_ptr, term_docs, term_tfs)
     # A repeated document id merges two documents.
-    _check_count(directory, manifest, "num_docs", index.num_docs)
-    _check_count(directory, manifest, "total_tokens", sum(index.collection_freq.values()))
-    _check_count(directory, manifest, "vocabulary_size", len(postings))
+    _check_count(directory, manifest, "num_docs", len(index.doc_number))
+    _check_count(directory, manifest, "total_tokens", index.total_tokens)
+    _check_count(directory, manifest, "vocabulary_size", len(terms))
     return index
 
 
@@ -350,22 +446,23 @@ def load_cooccurrence(
     table.doc_len = lens
     table.total_windows = sum(max(0, n - window_size) + 1 for n in lens if n)
     path, tokens = directory / "positions.tsv", 0
-    for lineno, term, doc, text in _position_rows(directory, len(lens)):
-        try:
-            positions = list(map(int, text.split(",")))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: positions {text!r} "
-                             f"are not comma-separated integers") from None
-        if positions[0] < 0 or (len(positions) > 1
-                                and not all(map(operator.lt, positions, positions[1:]))):
+    counts: dict[str, int] = {}
+    for lineno, term, opens, doc, text in _position_rows(directory, len(lens)):
+        # Most rows hold one position.
+        positions = list(map(int, text.split(","))) if "," in text else [int(text)]
+        if len(positions) > 1 and not all(map(operator.lt, positions, positions[1:])):
             raise ValueError(f"{path}: line {lineno}: positions {text!r} are not "
-                             f"strictly ascending from 0 or more")
+                             f"strictly ascending")
         if positions[-1] >= lens[doc]:
             raise ValueError(f"{path}: line {lineno}: position {positions[-1]} is not "
                              f"below the length {lens[doc]} of document {doc}")
-        table.positions.setdefault(term, {})[doc] = positions
-        table.unigram_window_count[term] += table._windows(positions, lens[doc])
+        if opens:
+            held = table.positions[term] = {}
+            counts[term] = 0
+        held[doc] = positions
+        counts[term] += table._windows(positions, lens[doc])
         tokens += len(positions)
+    table.unigram_window_count.update(counts)
     _check_count(directory, manifest, "total_tokens", tokens)
     _check_count(directory, manifest, "vocabulary_size", len(table.positions))
     return table
@@ -413,22 +510,49 @@ def _read_snapshot(directory: Path) -> tuple[dict, list[str], list[int]]:
     return manifest, doc_ids, lens
 
 
-def _position_rows(directory: Path, num_docs: int) -> Iterator[tuple[int, str, int, str]]:
-    """(line number, term, document number, positions) of each ``positions.tsv`` line."""
+def _position_rows(
+    directory: Path, num_docs: int
+) -> Iterator[tuple[int, str, bool, int, str]]:
+    """(line number, term, whether the line opens the term's group, document
+    number, positions) of each ``positions.tsv`` line.
+
+    Rows must be as ``save_index`` writes them: a non-empty term, terms in
+    ascending groups, document numbers strictly ascending within a term, and
+    positions ASCII digits joined by single commas. Any other row raises
+    ValueError naming the file and line.
+    """
     path = directory / "positions.tsv"
     numbers = {str(doc): doc for doc in range(num_docs)}
+    last_term, last_doc = "", -1
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
+            try:
+                term, doc, positions = line.rstrip("\n").split("\t")
+            except ValueError:  # not three fields
+                term = ""
+            if not term:
                 raise ValueError(f"{path}: line {lineno}: expected a term, a document "
                                  f"number and positions, tab-separated")
-            term, doc, positions = fields
             number = numbers.get(doc)
             if number is None:
                 raise ValueError(f"{path}: line {lineno}: document number {doc!r} is not "
                                  f"a line of doc_lens.tsv (0 to {num_docs - 1})")
-            yield lineno, term, number, positions
+            # Wrapped in commas, an empty item shows as ",,".
+            if not (positions.isascii() and (positions.isdigit() or (
+                    positions.replace(",", "").isdigit() and ",," not in f",{positions},"))):
+                raise ValueError(f"{path}: line {lineno}: positions {positions!r} are not "
+                                 f"ASCII digits joined by single commas")
+            opens = term != last_term
+            if opens:
+                if term < last_term:
+                    raise ValueError(f"{path}: line {lineno}: term {term!r} comes after "
+                                     f"{last_term!r}; terms must ascend in groups")
+                last_term = term
+            elif number <= last_doc:
+                raise ValueError(f"{path}: line {lineno}: document number {number} does "
+                                 f"not ascend within term {term!r}")
+            last_doc = number
+            yield lineno, term, opens, number, positions
 
 
 def _check_count(directory: Path, manifest: dict, key: str, value: int) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
 from scipy import stats
 
 from .corpus import CollectionIndex
@@ -63,9 +64,12 @@ def score_kl(
     score(d) = sum_t p(t|q) * log((tf(t,d) + mu * p(t|C)) / (|d| + mu))
 
     Query terms absent from the collection are skipped. The sum decomposes
-    into a per-document base depending only on document length plus posting
-    corrections, so scoring touches each posting once. Ties are broken by
-    ascending document id and the list is cut at ``top_k``.
+    into a base, ``const - sum_t p(t|q) * log(|d| + mu)``, computed once per
+    distinct length, plus one correction per posting of each query term,
+    added in query order. Logarithms are taken with ``math.log`` over the
+    distinct lengths and term frequencies, so scores do not depend on
+    numpy's vectorized ``log``. The ranking orders by descending score, ties
+    by ascending document id, and is cut at ``top_k``.
     """
     cfg = cfg or RetrievalConfig()
     if index.num_docs == 0:
@@ -74,25 +78,25 @@ def score_kl(
     if not dist:
         raise ValueError(f"query {query.query_id!r} is empty")
     mu = cfg.mu
-    terms = [
-        (t, w) for t, w in dist.items() if w > 0.0 and index.collection_freq.get(t, 0) > 0
-    ]
+    terms = [(t, w) for t, w in dist.items() if w > 0.0 and t in index.term_id]
     const = 0.0
     weight_sum = 0.0
     for t, w in terms:
         const += w * math.log(mu * index.p_collection(t))
         weight_sum += w
-    scores = {
-        doc_id: const - weight_sum * math.log(length + mu)
-        for doc_id, length in index.doc_len.items()
-    }
+    length_logs = np.array([math.log(n + mu) for n in index.length_values.tolist()])
+    scores = (const - weight_sum * length_logs)[index.length_of]
     for t, w in terms:
         baseline = mu * index.p_collection(t)
         log_baseline = math.log(baseline)
-        for doc_id, tf in index.postings[t].items():
-            scores[doc_id] += w * (math.log(tf + baseline) - log_baseline)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: cfg.top_k]
+        t_id = index.term_id[t]
+        lo, hi = index.term_ptr[t_id], index.term_ptr[t_id + 1]
+        tfs = index.term_tfs[lo:hi]
+        # log(tf + baseline) for every tf from 0 to the largest, then looked up.
+        tf_logs = np.array([math.log(tf + baseline) for tf in range(int(tfs.max()) + 1)])
+        scores[index.term_docs[lo:hi]] += w * (tf_logs[tfs] - log_baseline)
+    ranked = np.lexsort((index.id_rank, -scores))[: cfg.top_k]
+    return list(zip(map(index.doc_ids.__getitem__, ranked.tolist()), scores[ranked].tolist()))
 
 
 def feedback_model(
@@ -141,23 +145,16 @@ def prf_mixture(
 ) -> WeightedQuery:
     """Expand a query from its top-ranked documents.
 
-    The feedback distribution, fitted in closed form to the tokens of the
-    first ``prf_docs`` documents (``feedback_model``, Zhang & Xu 2008), is
-    truncated to the strongest ``prf_terms`` terms, renormalized, and
-    interpolated with the original query weights by ``prf_lambda``. With a
-    zero interpolation weight the query is returned unchanged.
+    The tokens of the first ``prf_docs`` documents are counted from their
+    forward slices, and the feedback distribution is fitted to them in
+    closed form (``feedback_model``, Zhang & Xu 2008). It is truncated to
+    the strongest ``prf_terms`` terms, renormalized, and interpolated with
+    the original query weights by ``prf_lambda``. With a zero interpolation
+    weight the query is returned unchanged.
     """
     if cfg.prf_lambda == 0.0:
         return query
-    fb_docs = {doc_id for doc_id, _ in ranking[: cfg.prf_docs]}
-    if not fb_docs:
-        return query
-    counts: dict[str, int] = {}
-    for term, plist in index.postings.items():
-        # The key view intersects in C, iterating over the smaller side.
-        common = plist.keys() & fb_docs
-        if common:
-            counts[term] = sum(plist[doc_id] for doc_id in common)
+    counts = _feedback_counts(ranking[: cfg.prf_docs], index)
     if not counts:
         return query
     probs = feedback_model(counts, index, cfg.prf_noise)
@@ -183,6 +180,27 @@ def prf_mixture(
         if weight > 0.0:
             terms.append(QueryTerm(t, weight, provenance.get(t, PROV_FEEDBACK)))
     return WeightedQuery(query.query_id, terms)
+
+
+def _feedback_counts(
+    ranking: Sequence[tuple[str, float]], index: CollectionIndex
+) -> dict[str, int]:
+    """Tokens per term in the ranked documents, terms ascending.
+
+    One ``bincount`` over the documents' (term id, tf) forward slices; a
+    document ranked twice counts once, and an id the index does not hold
+    counts nothing.
+    """
+    docs = {index.doc_number.get(doc_id) for doc_id, _ in ranking}
+    docs.discard(None)
+    if not docs:
+        return {}
+    slices = [slice(index.doc_ptr[d], index.doc_ptr[d + 1]) for d in docs]
+    tallies = np.bincount(np.concatenate([index.doc_terms[s] for s in slices]),
+                          weights=np.concatenate([index.doc_tfs[s] for s in slices]))
+    counted = np.flatnonzero(tallies)
+    return dict(zip(map(index.terms.__getitem__, counted.tolist()),
+                    tallies[counted].astype(np.int64).tolist()))
 
 
 @dataclass

@@ -185,6 +185,7 @@ def extract_rule(w: str, w2: str, pos_tag: str = UNKNOWN_TAG) -> TransformationR
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+_CUT_LISTS_OVER = 1024  # rows
 
 
 class CharSignatures:
@@ -212,11 +213,15 @@ class CharSignatures:
         """Rows from ``start`` on whose counts lie within L1 distance ``k`` of ``w``.
 
         Characters of ``w`` outside the word list's alphabet count one each.
-        The work is the length of w's lists plus a few passes over the rows.
+        The work is the length of w's lists, each cut at ``start`` when it is
+        long, plus a few passes over the rows.
         """
         rows = self._rows
-        hits = [rows[c, j] for c, n in Counter(w).items()
-                for j in range(1, n + 1) if (c, j) in rows]
+        # Cutting costs a call per list, which pays only on long lists; rows
+        # before ``start`` left in short ones are dropped with the overlap's head.
+        hits = [h[h.searchsorted(start):] if start and len(h) > _CUT_LISTS_OVER else h
+                for c, n in Counter(w).items() for j in range(1, n + 1)
+                if (h := rows.get((c, j))) is not None]
         overlap = np.bincount(np.concatenate([_NO_ROWS, *hits]), minlength=len(self._lens))
         # L1 = len(s) + len(w) - 2 * overlap <= k
         excess = self._lens[start:] - 2 * overlap[start:]

@@ -297,6 +297,53 @@ def kl_score_bruteforce(dist, token_docs, mu):
     return scores
 
 
+def score_kl_dicts(dist, token_docs, mu, top_k):
+    """The Dirichlet ranking as ``score_kl`` computed it over dict postings.
+
+    Statistics come from ``index_bruteforce`` over ``(doc_id, tokens)``
+    pairs. Every document starts from ``const - sum(w) * log(len + mu)``, each
+    posting of each query term adds its correction in query order, and all
+    documents are sorted by descending score, then ascending id, before the
+    cut at ``top_k``. The arithmetic is the shipped one, step for step, so
+    the array version should give the same floats, not merely close ones.
+    """
+    postings, doc_len, collection_freq = index_bruteforce(token_docs)
+    total_tokens = sum(doc_len.values())
+    terms = [(t, w) for t, w in dist.items() if w > 0.0 and collection_freq.get(t, 0) > 0]
+    const = 0.0
+    weight_sum = 0.0
+    for t, w in terms:
+        const += w * math.log(mu * (collection_freq[t] / total_tokens))
+        weight_sum += w
+    scores = {doc_id: const - weight_sum * math.log(length + mu)
+              for doc_id, length in doc_len.items()}
+    for t, w in terms:
+        baseline = mu * (collection_freq[t] / total_tokens)
+        log_baseline = math.log(baseline)
+        for doc_id, tf in postings[t].items():
+            scores[doc_id] += w * (math.log(tf + baseline) - log_baseline)
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+
+def feedback_counts_keyview(ranking, token_docs, prf_docs):
+    """Tokens per term in the first ``prf_docs`` ranked documents, term by term.
+
+    Every term's postings (from ``index_bruteforce``), in ascending term
+    order, are intersected with the feedback documents' ids: the scan over
+    all V terms that ``prf_mixture`` made before it read the documents'
+    forward slices. Ids the collection does not hold count nothing.
+    """
+    postings, _, _ = index_bruteforce(token_docs)
+    fb_docs = {doc_id for doc_id, _ in ranking[:prf_docs]}
+    counts = {}
+    for term in sorted(postings):
+        plist = postings[term]
+        common = plist.keys() & fb_docs
+        if common:
+            counts[term] = sum(plist[doc_id] for doc_id in common)
+    return counts
+
+
 def mixture_loglikelihood(counts, p_coll, noise, probs):
     """Log-likelihood of the feedback tokens under the fixed-noise mixture.
 

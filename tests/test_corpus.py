@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 
+import numpy as np
 import pytest
 
 from affixgen.config import ExperimentConfig
@@ -94,6 +96,38 @@ class TestCollectionIndex:
                 assert index.cf(term) == sum(index.postings[term].values())
                 assert index.df(term) == len(index.postings[term])
                 assert index.cf(term) >= index.df(term) >= 1
+
+    def test_accessors_and_arrays_match_bruteforce(self):
+        # Ids out of string order, empty documents, absent terms and ids; the
+        # last collection is large enough for numpy to sort it by quicksort.
+        rng = random.Random(43)
+        for size in [*(rng.randint(1, 12) for _ in range(30)), 400]:
+            numbers = rng.sample(range(2 * size), size)
+            docs = [Document(f"d{n}", " ".join(rng.choices("abcdefgh", k=rng.randint(0, 15))))
+                    for n in numbers]
+            index = index_of(docs)
+            postings, doc_len, collection_freq = index_bruteforce(token_stream(docs))
+            assert dict(index.postings) == postings
+            assert list(index.postings) == sorted(postings)
+            for term in "abcdefghz":
+                assert index.df(term) == len(postings.get(term, {}))
+                assert index.cf(term) == collection_freq[term]
+                assert (term in index.postings) == (term in postings)
+                for doc_id in [*doc_len, "nowhere"]:
+                    assert index.tf(term, doc_id) == postings.get(term, {}).get(doc_id, 0)
+            # The forward slices hold the same (document, term, tf) triples.
+            forward = {(index.doc_ids[d], index.terms[t], tf)
+                       for d in range(index.num_docs)
+                       for t, tf in zip(index.doc_terms[index.doc_ptr[d]:index.doc_ptr[d + 1]],
+                                        index.doc_tfs[index.doc_ptr[d]:index.doc_ptr[d + 1]])}
+            assert forward == {(doc_id, term, tf) for term, plist in postings.items()
+                               for doc_id, tf in plist.items()}
+            for d in range(index.num_docs):  # each document's terms ascend
+                assert np.all(np.diff(index.doc_terms[index.doc_ptr[d]:index.doc_ptr[d + 1]]) > 0)
+            assert sorted(range(index.num_docs), key=index.id_rank.__getitem__) == sorted(
+                range(index.num_docs), key=index.doc_ids.__getitem__)
+            with pytest.raises(KeyError):
+                index.postings["z"]
 
 
 class TestCooccurrence:
@@ -399,11 +433,13 @@ class TestSnapshots:
         [
             ("z\t0", (load_index, load_cooccurrence), "expected a term"),
             ("z\t0\t1\textra", (load_index, load_cooccurrence), "expected a term"),
+            ("\t0\t1", (load_index, load_cooccurrence), "expected a term"),
             ("z\t3\t1", (load_index, load_cooccurrence), "document number '3'"),
             ("z\t-1\t1", (load_index, load_cooccurrence), "document number '-1'"),
             ("z\t2\t1,3", (load_cooccurrence,), "position 3 is not below the length 3"),
         ],
-        ids=["two-fields", "four-fields", "doc-past-end", "doc-negative", "past-doc-end"],
+        ids=["two-fields", "four-fields", "empty-term", "doc-past-end", "doc-negative",
+             "past-doc-end"],
     )
     def test_malformed_positions_line_reported(self, tmp_path, line, loads, message):
         save_snapshot(self.DOCS, tmp_path)
@@ -413,16 +449,70 @@ class TestSnapshots:
             with pytest.raises(ValueError, match=f"positions.tsv: line 3: {message}"):
                 load(tmp_path)
 
-    @pytest.mark.parametrize("positions", ["6,0", "0,0,6", "0,6,6", "-1,6", "-1"])
-    def test_positions_not_strictly_ascending_rejected(self, tmp_path, positions):
+    @pytest.mark.parametrize(
+        "positions, loads, message",
+        [
+            ("6,0", (load_cooccurrence,), "are not strictly ascending"),
+            ("0,0,6", (load_cooccurrence,), "are not strictly ascending"),
+            ("0,6,6", (load_cooccurrence,), "are not strictly ascending"),
+            # A minus sign is not a digit, so both loaders refuse these.
+            ("-1,6", (load_index, load_cooccurrence), "are not ASCII digits"),
+            ("-1", (load_index, load_cooccurrence), "are not ASCII digits"),
+        ],
+        ids=["6,0", "0,0,6", "0,6,6", "-1,6", "-1"],
+    )
+    def test_positions_not_strictly_ascending_rejected(self, tmp_path, positions, loads,
+                                                       message):
         # "a" is at 0 and 6 of the first document, on the first line.
         save_snapshot(self.DOCS, tmp_path)
         rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == "a\t0\t0,6"
         rewrite(tmp_path, "positions.tsv", "\n".join([f"a\t0\t{positions}"] + rows[1:]) + "\n")
-        with pytest.raises(ValueError, match=f"positions.tsv: line 1: positions '{positions}' "
-                                             f"are not strictly ascending"):
-            load_cooccurrence(tmp_path)
+        for load in loads:
+            with pytest.raises(ValueError, match=f"positions.tsv: line 1: positions "
+                                                 f"'{positions}' {message}"):
+                load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "positions",
+        ["x,y", "0,٦", "0_6", " 6", "+6", "0,,6", ",6", "0,", "", "0, 6", "6²"],
+        ids=["letters", "arabic-indic-digit", "underscore", "leading-space", "plus-sign",
+             "empty-item", "leading-comma", "trailing-comma", "empty", "space-after-comma",
+             "superscript"],
+    )
+    def test_non_canonical_position_text_rejected(self, tmp_path, positions):
+        # load_index used to count commas (tf 2 for "x,y"), and int() accepts
+        # the digit, underscore, space and sign variants.
+        save_snapshot(self.DOCS, tmp_path)
+        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
+        rewrite(tmp_path, "positions.tsv", "\n".join([f"a\t0\t{positions}"] + rows[1:]) + "\n")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"positions.tsv: line 1: positions {positions!r} are not ASCII digits "
+                    f"joined by single commas")):
+                load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            # Rows as save_index writes them: a 0, b 0, b 2, c 0, c 2, d 0, e 0, f 0.
+            ([1, 0], 2, "term 'a' comes after 'b'; terms must ascend in groups"),
+            ([0, 1, 3, 2], 4, "term 'b' comes after 'c'; terms must ascend in groups"),
+            ([0, 2, 1], 3, "document number 0 does not ascend within term 'b'"),
+            ([0, 1, 1], 3, "document number 0 does not ascend within term 'b'"),
+        ],
+        ids=["terms-descend", "term-group-split", "documents-descend", "document-repeated"],
+    )
+    def test_rows_out_of_order_rejected(self, tmp_path, rows, line, message):
+        save_snapshot(self.DOCS, tmp_path)
+        written = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
+        assert written[:3] == ["a\t0\t0,6", "b\t0\t1", "b\t2\t0,2"]
+        reordered = [written[r] for r in rows] + written[max(rows) + 1:]
+        rewrite(tmp_path, "positions.tsv", "\n".join(reordered) + "\n")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"positions.tsv: line {line}: {message}")):
+                load(tmp_path)
 
     def test_malformed_doc_lens_line_reported(self, tmp_path):
         save_snapshot(self.DOCS, tmp_path)

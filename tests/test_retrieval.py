@@ -16,6 +16,7 @@ from affixgen.retrieval import (
     Qrels,
     RetrievalConfig,
     RunFile,
+    _feedback_counts,
     evaluate,
     feedback_model,
     load_qrels,
@@ -29,13 +30,15 @@ from affixgen.retrieval import (
 )
 from oracles import (
     average_precision_bruteforce,
+    feedback_counts_keyview,
     feedback_model_em,
     interpolated_precision_bruteforce,
     kl_score_bruteforce,
     mixture_loglikelihood,
     precision_at_k_bruteforce,
+    score_kl_dicts,
 )
-from tables import index_of
+from tables import index_of, token_stream
 
 
 def query(qid, dist, prov=PROV_DICTIONARY):
@@ -139,6 +142,95 @@ class TestScoreKl:
             score_kl(WeightedQuery("q", []), index)
         with pytest.raises(ValueError, match="empty index"):
             score_kl(query("q", {"a": 1.0}), index_of([]))
+
+
+def mixed_collection(rng):
+    """Documents in no id order, some empty, ids whose string order is not their number's."""
+    numbers = rng.sample(range(1, 40), rng.randint(1, 14))
+    return [Document(f"d{n}", " ".join(rng.choices("aabbbcdefg", k=rng.choice([0, *range(1, 9)]))))
+            for n in numbers]
+
+
+class TestArraysMatchDictOracles:
+    """``score_kl`` and the feedback count against the dict code they replaced.
+
+    The ranking oracle does the same float operations in the same order, so
+    rankings are compared with ``==``: same ids, same order, same scores.
+    """
+
+    def test_rankings_match_on_random_collections(self):
+        rng = random.Random(81)
+        for _ in range(300):
+            docs = mixed_collection(rng)
+            if not any(d.text for d in docs):
+                continue
+            index = index_of(docs)
+            dist = {t: rng.random() for t in rng.sample("abcdefgz", rng.randint(1, 5))}
+            total = sum(dist.values())
+            dist = {t: w / total for t, w in dist.items()}
+            mu, top_k = rng.choice([1.0, 10.0, 250.0]), rng.randint(1, len(docs) + 2)
+            got = score_kl(query("q", dist), index, RetrievalConfig(mu=mu, top_k=top_k))
+            assert got == score_kl_dicts(dist, list(token_stream(docs)), mu, top_k)
+
+    def test_top_k_cuts_inside_a_tie_group(self):
+        docs = [Document(doc_id, "x y") for doc_id in ("d5", "d3", "d9", "d1")]
+        docs.append(Document("d0", "x x"))
+        index = index_of(docs)
+        for top_k in (1, 2, 3, 4):
+            got = score_kl(query("q", {"x": 1.0}), index, RetrievalConfig(top_k=top_k))
+            expected = score_kl_dicts({"x": 1.0}, list(token_stream(docs)), 1000.0, top_k)
+            assert [doc for doc, _ in got] == ["d0", "d1", "d3", "d5"][:top_k]
+            assert got == expected
+
+    def test_ties_follow_id_string_order_not_line_order(self):
+        # Line order d2, d10, d1; string order d1 < d10 < d2.
+        docs = [Document("d2", "x"), Document("d10", "x"), Document("d1", "x"),
+                Document("d3", "y")]
+        index = index_of(docs)
+        got = score_kl(query("q", {"x": 1.0}), index)
+        assert [doc for doc, _ in got] == ["d1", "d10", "d2", "d3"]
+        assert got == score_kl_dicts({"x": 1.0}, list(token_stream(docs)), 1000.0, 1000)
+
+    def test_zero_length_documents_are_ranked(self):
+        docs = [Document("e1", ""), Document("d1", "x y"), Document("e0", "!!"),
+                Document("d2", "y y")]
+        index = index_of(docs)
+        dist = {"x": 0.7, "y": 0.3}
+        got = score_kl(query("q", dist), index, RetrievalConfig(mu=5.0))
+        assert got == score_kl_dicts(dist, list(token_stream(docs)), 5.0, 1000)
+        tokens = {doc_id: toks for doc_id, toks in token_stream(docs)}
+        brute = kl_score_bruteforce(dist, tokens, 5.0)
+        assert {doc: score for doc, score in got} == pytest.approx(brute, abs=1e-12)
+        # The two empty documents tie, ordered by id.
+        order = [doc for doc, _ in got]
+        at = order.index("e0")
+        assert order[at + 1] == "e1" and got[at][1] == got[at + 1][1]
+
+    def test_feedback_counts_match_on_random_rankings(self):
+        # Rankings shorter and longer than prf_docs, repeated documents,
+        # empty documents and ids the collection does not hold.
+        rng = random.Random(82)
+        for _ in range(300):
+            docs = mixed_collection(rng)
+            index = index_of(docs)
+            pool = [d.doc_id for d in docs] + ["nowhere"]
+            ranking = [(rng.choice(pool), -float(i)) for i in range(rng.randint(0, 20))]
+            prf_docs = rng.randint(1, 12)
+            got = _feedback_counts(ranking[:prf_docs], index)
+            expected = feedback_counts_keyview(ranking, list(token_stream(docs)), prf_docs)
+            assert list(got.items()) == list(expected.items())
+            assert all(type(count) is int for count in got.values())
+
+    def test_ranking_shorter_than_prf_docs(self):
+        docs = [Document("d1", "x x y"), Document("d2", "y z"), Document("d3", "z z w")]
+        index = index_of(docs)
+        q = query("q", {"x": 1.0})
+        cfg = RetrievalConfig(mu=10, prf_docs=30, prf_terms=10, prf_lambda=1.0, prf_noise=0.0)
+        ranking = score_kl(q, index, RetrievalConfig(mu=10, top_k=2))
+        assert [doc for doc, _ in ranking] == ["d1", "d2"]
+        assert _feedback_counts(ranking[:cfg.prf_docs], index) == {"x": 2, "y": 2, "z": 1}
+        expanded = prf_mixture(ranking, index, cfg, q).as_distribution()
+        assert expanded == pytest.approx({"x": 0.4, "y": 0.4, "z": 0.2}, abs=1e-12)
 
 
 def assert_exact_mle(counts, index, noise, em_ll):

@@ -126,6 +126,20 @@ class TestCharSignatures:
                 assert got.dtype == want.dtype
                 assert got.tolist() == want.tolist()
 
+    def test_long_lists_cut_at_start_match_dense_oracle(self):
+        # Over three letters, 3,000 words put thousands of rows on the lists
+        # of one copy of a letter, so those lists are cut at ``start``; the
+        # lists for more copies stay short and are not.
+        rng = random.Random(12)
+        words = [random_word(rng, "abc", 0, 9) for _ in range(3000)]
+        sigs = CharSignatures(words)
+        assert max(len(rows) for rows in sigs._rows.values()) > 2000
+        for start in [0, 1, 1024, 1025, 2999, 3000, *rng.sample(range(3000), 20)]:
+            w = random_word(rng, "abcx", 0, 10)
+            k = rng.randint(0, 4)
+            assert sigs.within(w, k, start).tolist() == char_count_within_dense(
+                words, w, k, start).tolist()
+
     def test_characters_outside_the_alphabet_count_one_each(self):
         words = ["ab", "abc", "b", ""]
         for w in ("xy", "abx", "éé", "x"):
