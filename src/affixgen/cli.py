@@ -48,7 +48,7 @@ from .retrieval import (
     save_eval,
     save_run,
 )
-from .rules import MedConfig, load_rules, mine_rules, save_rules
+from .rules import MedConfig, RuleTable, load_rules, mine_rules, save_rules
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,10 +177,22 @@ def cmd_mine_rules(args: argparse.Namespace) -> int:
     table = mine_rules(vocab, pos, MedConfig(k_max=cfg.k_max))
     if len(table) == 0:
         raise ValueError(f"no rules mined within k_max={cfg.k_max}")
-    save_rules(table, cfg.rules_file)
+    save_rules(replace(table, snapshot=index.fingerprint), cfg.rules_file)
     print(f"mined {len(table)} rules from {len(vocab)} terms "
           f"(total pair count {table.total_count})")
     return 0
+
+
+def _load_rules(cfg: ExperimentConfig, index: corpus_mod.CollectionIndex) -> RuleTable:
+    """The rules file, refused unless it was mined from the snapshot in ``index_dir``."""
+    rules = load_rules(cfg.rules_file)
+    if rules.snapshot != index.fingerprint:
+        manifest = Path(cfg.index_dir) / "index.json"
+        raise ValueError(
+            f"rules file {cfg.rules_file} records snapshot "
+            f"{rules.snapshot or '(none)'}, but {manifest} is snapshot {index.fingerprint}; "
+            f"re-run `affixgen mine-rules` on {cfg.index_dir}")
+    return rules
 
 
 def _noise_config(cfg: ExperimentConfig) -> NoiseFilterConfig:
@@ -205,7 +217,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not terms:
         raise ValueError("no input terms: pass --terms or --terms-file")
     index = corpus_mod.load_index(cfg.index_dir)
-    rules = load_rules(cfg.rules_file)
+    rules = _load_rules(cfg, index)
     pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
     generator = FormationGenerator(
         index.vocabulary, rules, pos, _noise_config(cfg), MedConfig(k_max=cfg.k_max)
@@ -272,7 +284,7 @@ def _translation_resources(cfg: ExperimentConfig):
     generator = None
     if cfg.mode == "ag":
         _require(cfg, "rules_file")
-        rules = load_rules(cfg.rules_file)
+        rules = _load_rules(cfg, index)
         pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
         generator = FormationGenerator(
             index.vocabulary, rules, pos, _noise_config(cfg), MedConfig(k_max=cfg.k_max)

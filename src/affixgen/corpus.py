@@ -1,40 +1,49 @@
 """Corpus ingestion: tokenization, collection statistics, and co-occurrence counts.
 
 Documents are tokenized into lowercase letter runs. A snapshot, written
-by ``save_index``, stores only what the corpus determines: each document's
-length and each term's token positions, described by one manifest. Both
-tables are built only by reading a snapshot: ``load_index`` gives an array
-index, term-major CSR postings and a doc-major forward slice with the
+by ``save_index``, stores only what the corpus determines: the document
+ids and the terms as text, then int32 ``.npy`` arrays of counts (each
+document's length, each term's row count, each row's document and position
+count) and each row's token positions, described by one manifest that
+records the files' sizes and their sha256 fingerprint. One reader,
+``_read_snapshot``, loads and checks every file with array operations, and
+both tables are built only from what it returns: ``load_index`` gives an
+array index, term-major CSR postings and a doc-major forward slice with the
 document lengths and collection frequencies (a term frequency is a position
-count, documents are numbered by their line in the lengths file and terms
-by their order in the positions file), and ``load_cooccurrence`` sliding
-w-token window counts for the window the reader asks for: a token at
-position p of an n-token document lies in the windows starting in
-[max(0, p - w + 1), min(p, n - w)]. Both loaders accept positions rows only
-as ``save_index`` writes them.
+count, documents are numbered by their line in ``doc_ids.txt`` and terms by
+theirs in ``terms.txt``), and ``load_cooccurrence`` sliding w-token window
+counts for the window the reader asks for: a token at position p of an
+n-token document lies in the windows starting in
+[max(0, p - w + 1), min(p, n - w)].
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-import operator
 import os
 import re
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-# Data files of a version-2 snapshot that later versions no longer write.
-_VERSION_2_FILES = ("postings.tsv", "cooccurrence.json")
+# A snapshot's data files, in the order written and fingerprinted.
+_DATA_FILES = ("doc_ids.txt", "terms.txt", "lengths.npy", "dfs.npy", "row_docs.npy",
+               "tfs.npy", "positions.npy")
+# Data files of version-2 and version-4 snapshots that version 5 no longer writes.
+_STALE_FILES = ("postings.tsv", "cooccurrence.json", "doc_lens.tsv", "positions.tsv")
+_INT32 = np.dtype("<i4")
 
 # A token is a maximal run of Unicode letters; digits, underscores and
 # punctuation all act as separators.
@@ -87,9 +96,9 @@ def tokenize(text: str, stopwords: StopwordList | None = None) -> list[str]:
 class CollectionIndex:
     """Postings as arrays: a term-major CSR and a doc-major forward slice.
 
-    Document d is line d of the snapshot's ``doc_lens.tsv`` (id
-    ``doc_ids[d]``, ``lengths[d]`` tokens) and term t is the t-th term of
-    ``positions.tsv``, whose terms ascend. Term t's postings are the
+    Document d is line d of the snapshot's ``doc_ids.txt`` (id
+    ``doc_ids[d]``, ``lengths[d]`` tokens) and term t is line t of
+    ``terms.txt``, whose terms ascend. Term t's postings are the
     ascending document numbers ``term_docs[term_ptr[t]:term_ptr[t + 1]]``
     with their term frequencies in ``term_tfs``; document d's terms are the
     ascending term ids ``doc_terms[doc_ptr[d]:doc_ptr[d + 1]]`` with theirs
@@ -98,12 +107,13 @@ class CollectionIndex:
     ``lengths`` equals ``length_values[length_of]`` (the distinct lengths,
     ascending). ``postings``, ``doc_len`` and ``collection_freq`` are
     read-only mapping views of these arrays, keyed by term and document id.
+    ``fingerprint`` identifies the snapshot the index was read from.
     """
 
     def __init__(self, doc_ids: list[str], lengths: Sequence[int], terms: list[str],
                  term_ptr: Sequence[int], term_docs: Sequence[int],
-                 term_tfs: Sequence[int]) -> None:
-        self.doc_ids, self.terms = doc_ids, terms
+                 term_tfs: Sequence[int], fingerprint: str) -> None:
+        self.doc_ids, self.terms, self.fingerprint = doc_ids, terms, fingerprint
         self.doc_number = {doc_id: d for d, doc_id in enumerate(doc_ids)}
         self.term_id = {term: t for t, term in enumerate(terms)}
         self.lengths = np.asarray(lengths, dtype=np.int64)
@@ -211,11 +221,11 @@ class CooccurrenceTable:
     0 < n <= w tokens holds one window, an empty one none. A window counts
     each distinct unordered term pair once, and self pairs are excluded.
     Only the document lengths (``doc_len``, one per line of the snapshot's
-    ``doc_lens.tsv``, empty documents included, so a document's number is
+    ``doc_ids.txt``, empty documents included, so a document's number is
     its line there) and each term's ascending positions in each document
-    holding it (``positions[term][doc]``) are stored. A term's windows in a
-    document are the union of [max(0, p - w + 1), min(p, n - w)] over its
-    positions p;
+    holding it (``positions[term][doc]``, a read-only mapping) are stored.
+    A term's windows in a document are the union of
+    [max(0, p - w + 1), min(p, n - w)] over its positions p;
     ``unigram_window_count`` sums the union's size over documents and
     ``pair_count(a, b)`` the size of two terms' intersection.
     """
@@ -224,7 +234,7 @@ class CooccurrenceTable:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
         self.window_size = window_size
-        self.positions: dict[str, dict[int, list[int]]] = {}
+        self.positions: Mapping[str, dict[int, list[int]]] = {}
         self.doc_len: list[int] = []
         self.unigram_window_count: Counter[str] = Counter()
         self.total_windows: int = 0
@@ -253,6 +263,43 @@ class CooccurrenceTable:
             count += (self._windows(pos_a, n) + self._windows(pos_b, n)
                       - self._windows(sorted(pos_a + pos_b), n))
         return count
+
+
+class _TermPositions(Mapping):
+    """Read-only ``term -> {doc: ascending positions}`` over a snapshot's rows.
+
+    A term's dict is built from its slices the first time it is read, and kept.
+    """
+
+    def __init__(self, snap: _Snapshot) -> None:
+        self._snap = snap
+        self._held: dict[str, dict[int, list[int]]] = {}
+
+    def get(self, term: str, default=None):
+        held = self._held.get(term)
+        if held is None:
+            snap = self._snap
+            t = bisect_left(snap.terms, term)  # terms strictly ascend
+            if t == len(snap.terms) or snap.terms[t] != term:
+                return default
+            lo, hi = snap.term_ptr[t], snap.term_ptr[t + 1]
+            cuts = (snap.row_ptr[lo:hi + 1] - snap.row_ptr[lo]).tolist()
+            at = snap.positions[snap.row_ptr[lo]:snap.row_ptr[hi]].tolist()
+            held = self._held[term] = {doc: at[a:b] for doc, a, b in zip(
+                snap.row_docs[lo:hi].tolist(), cuts, cuts[1:])}
+        return held
+
+    def __getitem__(self, term: str) -> dict[int, list[int]]:
+        held = self.get(term)
+        if held is None:
+            raise KeyError(term)
+        return held
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._snap.terms)
+
+    def __len__(self) -> int:
+        return len(self._snap.terms)
 
 
 class PairCountMemo(CooccurrenceTable):
@@ -356,78 +403,81 @@ def _read_tsv(text: str, source: str) -> list[Document]:
 
 
 def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path) -> dict:
-    """Write documents' tokens as a snapshot: two TSV files and the manifest ``index.json``.
+    """Write documents' tokens as a snapshot: two text files, five arrays and ``index.json``.
 
     ``documents`` yields ``(doc_id, tokens)`` pairs, read once; a repeated
-    document id raises ValueError before any file is written. ``doc_lens.tsv``
-    holds a ``doc_id<TAB>length`` line per document in the order given; a
-    document's number is its 0-based line there. ``positions.tsv`` holds a
-    sorted ``term<TAB>doc<TAB>p1,p2,...`` line per term and document holding
-    it, so repeated runs over the same corpus write byte-identical snapshots;
-    a term frequency is the number of positions. No window is stored: readers
-    count windows of the size they are given. Each file is written beside its
-    target and renamed over it, the manifest ``index.json`` last, which
-    records the data files' sizes; then the files of a version-2 snapshot, if
-    any, are removed. Returns the manifest.
+    document id raises ValueError before any file is written. Document d is
+    line d of ``doc_ids.txt`` (the order given) and term t line t of
+    ``terms.txt`` (ascending). The int32 ``.npy`` arrays hold counts:
+    ``lengths`` (tokens per document), ``dfs`` (rows per term) and, per row
+    (a term and a document holding it, documents ascending within a term),
+    ``row_docs`` and ``tfs`` (the row's position count), then
+    ``positions`` (each row's ascending positions). Repeated runs over the
+    same corpus write byte-identical snapshots. No window is stored: readers
+    count windows of the size they are given. Each file is written beside
+    its target and renamed over it, the manifest ``index.json`` last, which
+    records the data files' sizes and their sha256 ``fingerprint``; then the
+    data files of older formats, if any, are removed. Returns the manifest.
     """
     doc_len: dict[str, int] = {}
-    positions: dict[str, dict[int, list[int]]] = {}
+    term_of: dict[str, int] = {}  # first-seen numbering; terms are sorted below
+    stream = array("i")
     for doc_id, tokens in documents:
         if doc_id in doc_len:
             raise ValueError(f"duplicate document identifier: {doc_id!r}")
-        doc = len(doc_len)
         doc_len[doc_id] = len(tokens)
-        held: dict[str, list[int]] = {}
-        for p, term in enumerate(tokens):
-            held.setdefault(term, []).append(p)
-        for term, at in held.items():
-            positions.setdefault(term, {})[doc] = at
+        stream.extend([term_of.setdefault(term, len(term_of)) for term in tokens])
+    terms = sorted(term_of)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[term_of[term] for term in terms]] = np.arange(len(terms))
+    lens = np.fromiter(doc_len.values(), dtype=np.intc, count=len(doc_len))
+    starts = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+    # Tokens arrive by document, then position; a stable sort by term keeps that order.
+    tokens = rank[np.frombuffer(stream, dtype=np.intc)]
+    order = np.argsort(tokens, kind="stable")
+    token_terms = tokens[order]
+    token_docs = np.repeat(np.arange(len(doc_len)), lens)[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (token_terms[1:] != token_terms[:-1]) | (token_docs[1:] != token_docs[:-1])
+    rows = np.flatnonzero(opens)
+    arrays = {
+        "lengths": lens,
+        "dfs": np.bincount(token_terms[rows], minlength=len(terms)),
+        "row_docs": token_docs[rows],
+        "tfs": np.diff(rows, append=len(order)),
+        "positions": order - starts[token_docs],
+    }
+    data = {"doc_ids.txt": _text_lines(doc_len), "terms.txt": _text_lines(terms)}
+    for name, values in arrays.items():
+        data[f"{name}.npy"] = _npy_bytes(values)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    file_bytes = {
-        "doc_lens.tsv": _write_atomic(
-            directory / "doc_lens.tsv",
-            (f"{doc_id}\t{n}\n" for doc_id, n in doc_len.items())),
-        "positions.tsv": _write_atomic(  # documents were numbered in ascending order
-            directory / "positions.tsv",
-            (f"{term}\t{doc}\t{','.join(map(str, held))}\n"
-             for term in sorted(positions) for doc, held in positions[term].items())),
-    }
+    fingerprint = hashlib.sha256()
+    for name in _DATA_FILES:
+        _write_atomic(directory / name, data[name])
+        fingerprint.update(data[name])
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "snapshot",
         "num_docs": len(doc_len),
-        "total_tokens": sum(doc_len.values()),
-        "vocabulary_size": len(positions),
+        "total_tokens": int(starts[-1]),
+        "vocabulary_size": len(terms),
         "tokenizer": {"lowercase": True, "token_pattern": _TOKEN_RE.pattern},
-        "file_bytes": file_bytes,
+        "file_bytes": {name: len(data[name]) for name in _DATA_FILES},
+        "fingerprint": fingerprint.hexdigest(),
     }
     text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    _write_atomic(directory / "index.json", [text])
-    for stale in _VERSION_2_FILES:
+    _write_atomic(directory / "index.json", text.encode("utf-8"))
+    for stale in _STALE_FILES:
         (directory / stale).unlink(missing_ok=True)
     return manifest
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
     """Read a snapshot's index; a term frequency is the term's position count."""
-    directory = Path(directory)
-    manifest, doc_ids, lens = _read_snapshot(directory)
-    terms: list[str] = []
-    term_ptr, term_docs, term_tfs = array("i"), array("i"), array("i")
-    for _, term, opens, doc, positions in _position_rows(directory, len(doc_ids)):
-        if opens:
-            terms.append(term)
-            term_ptr.append(len(term_docs))
-        term_docs.append(doc)
-        term_tfs.append(positions.count(",") + 1)
-    term_ptr.append(len(term_docs))
-    index = CollectionIndex(doc_ids, lens, terms, term_ptr, term_docs, term_tfs)
-    # A repeated document id merges two documents.
-    _check_count(directory, manifest, "num_docs", len(index.doc_number))
-    _check_count(directory, manifest, "total_tokens", index.total_tokens)
-    _check_count(directory, manifest, "vocabulary_size", len(terms))
-    return index
+    snap = _read_snapshot(Path(directory))
+    return CollectionIndex(snap.doc_ids, snap.lengths, snap.terms, snap.term_ptr,
+                           snap.row_docs, snap.tfs, snap.manifest["fingerprint"])
 
 
 def load_cooccurrence(
@@ -435,124 +485,198 @@ def load_cooccurrence(
 ) -> CooccurrenceTable:
     """Read a snapshot's positions into a table of ``window_size``-token windows.
 
-    Document lengths come from ``doc_lens.tsv``, and every window count is
-    derived from the positions, so one snapshot serves any window. Each
-    row's positions must be strictly ascending, from 0 up to below its
-    document's length.
+    Every window count is derived from the lengths and positions, so one
+    snapshot serves any window. A term's windows are counted in one pass
+    over all positions: the starts [max(0, p - w + 1), min(p, n - w)] of a
+    position p not already counted for the previous position of its row.
     """
-    directory = Path(directory)
-    manifest, _, lens = _read_snapshot(directory)
     table = CooccurrenceTable(window_size)
-    table.doc_len = lens
-    table.total_windows = sum(max(0, n - window_size) + 1 for n in lens if n)
-    path, tokens = directory / "positions.tsv", 0
-    counts: dict[str, int] = {}
-    for lineno, term, opens, doc, text in _position_rows(directory, len(lens)):
-        # Most rows hold one position.
-        positions = list(map(int, text.split(","))) if "," in text else [int(text)]
-        if len(positions) > 1 and not all(map(operator.lt, positions, positions[1:])):
-            raise ValueError(f"{path}: line {lineno}: positions {text!r} are not "
-                             f"strictly ascending")
-        if positions[-1] >= lens[doc]:
-            raise ValueError(f"{path}: line {lineno}: position {positions[-1]} is not "
-                             f"below the length {lens[doc]} of document {doc}")
-        if opens:
-            held = table.positions[term] = {}
-            counts[term] = 0
-        held[doc] = positions
-        counts[term] += table._windows(positions, lens[doc])
-        tokens += len(positions)
-    table.unigram_window_count.update(counts)
-    _check_count(directory, manifest, "total_tokens", tokens)
-    _check_count(directory, manifest, "vocabulary_size", len(table.positions))
+    snap = _read_snapshot(Path(directory))
+    w = window_size
+    lengths = snap.lengths.astype(np.int64)
+    table.doc_len = snap.lengths.tolist()
+    table.total_windows = int(np.maximum(lengths - w, 0).sum() + np.count_nonzero(lengths))
+    table.positions = _TermPositions(snap)
+    if snap.terms:  # an empty collection has no rows to count
+        at = snap.positions.astype(np.int64)
+        last = np.minimum(at, np.maximum(np.repeat(lengths[snap.row_docs], snap.tfs) - w, 0))
+        before = np.empty_like(last)
+        before[1:] = last[:-1]
+        before[snap.row_ptr[:-1]] = -1
+        counts = np.maximum(last - np.maximum(at - w + 1, before + 1) + 1, 0)
+        windows = np.add.reduceat(counts, snap.row_ptr[snap.term_ptr[:-1]])
+        table.unigram_window_count.update(dict(zip(snap.terms, windows.tolist())))
     return table
 
 
-def _write_atomic(path: Path, lines: Iterable[str]) -> int:
-    """Write lines beside ``path`` under a temporary name, rename, and return the size."""
+def _text_lines(items: Iterable[str]) -> bytes:
+    return "".join(f"{item}\n" for item in items).encode("utf-8")
+
+
+def _npy_bytes(values: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.asarray(values, dtype=_INT32), allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` beside ``path`` under a temporary name, then rename it over ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return path.stat().st_size
 
 
-def _read_snapshot(directory: Path) -> tuple[dict, list[str], list[int]]:
-    """The checked manifest, and the ids and lengths of ``doc_lens.tsv`` in line order."""
+class _Snapshot(NamedTuple):
+    """A checked snapshot: its files, and the offsets derived from their counts.
+
+    Term t's rows are ``term_ptr[t]:term_ptr[t + 1]``, and row r's positions
+    ``positions[row_ptr[r]:row_ptr[r + 1]]``; both offsets are int64.
+    """
+
+    manifest: dict
+    doc_ids: list[str]
+    terms: list[str]
+    lengths: np.ndarray
+    row_docs: np.ndarray
+    tfs: np.ndarray
+    positions: np.ndarray
+    term_ptr: np.ndarray
+    row_ptr: np.ndarray
+
+
+def _read_snapshot(directory: Path) -> _Snapshot:
+    """Read every file of a snapshot and check it; a defect raises ValueError naming the file.
+
+    Besides each file's size, type and length: counts are at least 1,
+    document ids unique, non-empty and free of whitespace, terms non-empty
+    and strictly ascending, a term's documents in range and strictly
+    ascending, a row's positions strictly ascending from 0 and below its
+    document's length, and every position of every document held by
+    exactly one row, so each document's term frequencies sum to its length.
+    """
     path = directory / "index.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
-    if manifest.get("kind") != "snapshot":
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version!r}, this program "
+                         f"reads version {FORMAT_VERSION}; re-run `affixgen index`")
+    if manifest.get("kind") != "snapshot" or not isinstance(manifest.get("fingerprint"), str):
         raise ValueError(f"{path}: not a snapshot manifest")
-    for name in ("doc_lens.tsv", "positions.tsv"):
+    for name in _DATA_FILES:
         size, actual = manifest["file_bytes"].get(name), (directory / name).stat().st_size
         if actual != size:
             raise ValueError(f"{directory / name}: size mismatch against manifest: "
                              f"{actual} bytes, recorded {size}")
-    path = directory / "doc_lens.tsv"
-    doc_ids, lens = [], []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            try:
-                doc_id, length = line.rstrip("\n").split("\t")
-                lens.append(int(length))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected a document id, "
-                                 f"a tab, then its length") from None
-            doc_ids.append(doc_id)
-    _check_count(directory, manifest, "num_docs", len(lens))
-    _check_count(directory, manifest, "total_tokens", sum(lens))
-    return manifest, doc_ids, lens
+
+    path = directory / "doc_ids.txt"
+    doc_ids = _read_lines(path)
+    if " ".join(doc_ids).split() != doc_ids:  # run files are whitespace-separated
+        line = next(i for i, doc_id in enumerate(doc_ids) if doc_id.split() != [doc_id])
+        raise ValueError(f"{path}: line {line + 1}: document id {doc_ids[line]!r} is empty "
+                         f"or holds whitespace")
+    if len(set(doc_ids)) != len(doc_ids):
+        first: dict[str, int] = {}
+        line = next(i for i, doc_id in enumerate(doc_ids) if first.setdefault(doc_id, i) != i)
+        raise ValueError(f"{path}: line {line + 1}: document id {doc_ids[line]!r} repeats "
+                         f"line {first[doc_ids[line]] + 1}")
+    path = directory / "terms.txt"
+    terms = _read_lines(path)
+    # Ascending and distinct is strictly ascending, and then only the first can be empty.
+    if terms != sorted(terms) or len(set(terms)) != len(terms) or terms[:1] == [""]:
+        line = next(i for i, term in enumerate(terms) if not term or (i and term <= terms[i - 1]))
+        raise ValueError(f"{path}: line {line + 1}: term {terms[line]!r} is empty or does "
+                         f"not come after the previous term; terms must strictly ascend")
+
+    lengths = _read_array(directory, "lengths", len(doc_ids))
+    _check_at_least(directory, "lengths", lengths, 0)
+    doc_start = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    _check_count(directory, manifest, "num_docs", len(doc_ids))
+    _check_count(directory, manifest, "total_tokens", int(doc_start[-1]))
+    _check_count(directory, manifest, "vocabulary_size", len(terms))
+
+    dfs = _read_array(directory, "dfs", len(terms))
+    _check_at_least(directory, "dfs", dfs, 1)
+    term_ptr = np.concatenate(([0], np.cumsum(dfs, dtype=np.int64)))
+    row_docs = _read_array(directory, "row_docs", int(term_ptr[-1]))
+    tfs = _read_array(directory, "tfs", int(term_ptr[-1]))
+    _check_at_least(directory, "tfs", tfs, 1)
+    row_ptr = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+    positions = _read_array(directory, "positions", int(row_ptr[-1]))
+
+    def row_error(name: str, row: int, message: str) -> ValueError:
+        term = terms[np.searchsorted(term_ptr, row, side="right") - 1]
+        return ValueError(f"{directory / name}: row {row} (term {term!r}, document "
+                          f"{row_docs[row]}): {message}")
+
+    outside = (row_docs < 0) | (row_docs >= len(doc_ids))
+    if outside.any():
+        row = int(outside.argmax())
+        raise row_error("row_docs.npy", row, f"document number is not a line of doc_ids.txt "
+                                             f"(0 to {len(doc_ids) - 1})")
+    continues = np.ones(len(row_docs), dtype=bool)  # the row's term is the previous row's
+    continues[term_ptr[:-1]] = False
+    descends = continues[1:] & (row_docs[1:] <= row_docs[:-1])
+    if descends.any():
+        row = int(descends.argmax()) + 1
+        raise row_error("row_docs.npy", row, f"does not ascend within the term, after "
+                                             f"document {row_docs[row - 1]}")
+    continues = np.ones(len(positions), dtype=bool)  # the position's row is the previous one's
+    continues[row_ptr[:-1]] = False
+    position_doc = np.repeat(row_docs, tfs)
+    bad = (positions < 0) | (positions >= lengths[position_doc])
+    bad[1:] |= continues[1:] & (positions[1:] <= positions[:-1])
+    if bad.any():
+        row = np.searchsorted(row_ptr, bad.argmax(), side="right") - 1
+        held = positions[row_ptr[row]:row_ptr[row + 1]].tolist()
+        raise row_error("positions.npy", row, f"positions {held} are not strictly ascending "
+                                              f"from 0 and below the document's length "
+                                              f"{lengths[row_docs[row]]}")
+    holders = np.bincount(doc_start[position_doc] + positions, minlength=int(doc_start[-1]))
+    if (holders != 1).any():
+        token = int((holders != 1).argmax())
+        doc = int(np.searchsorted(doc_start, token, side="right")) - 1
+        raise ValueError(f"{directory / 'positions.npy'}: position {token - doc_start[doc]} "
+                         f"of document {doc} is held by {holders[token]} rows, not one")
+    return _Snapshot(manifest, doc_ids, terms, lengths, row_docs, tfs, positions,
+                     term_ptr, row_ptr)
 
 
-def _position_rows(
-    directory: Path, num_docs: int
-) -> Iterator[tuple[int, str, bool, int, str]]:
-    """(line number, term, whether the line opens the term's group, document
-    number, positions) of each ``positions.tsv`` line.
+def _read_lines(path: Path) -> list[str]:
+    """The UTF-8 lines of ``path``, each ended by a newline."""
+    try:
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    if lines.pop():
+        raise ValueError(f"{path}: line {len(lines) + 1} does not end with a newline")
+    return lines
 
-    Rows must be as ``save_index`` writes them: a non-empty term, terms in
-    ascending groups, document numbers strictly ascending within a term, and
-    positions ASCII digits joined by single commas. Any other row raises
-    ValueError naming the file and line.
-    """
-    path = directory / "positions.tsv"
-    numbers = {str(doc): doc for doc in range(num_docs)}
-    last_term, last_doc = "", -1
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            try:
-                term, doc, positions = line.rstrip("\n").split("\t")
-            except ValueError:  # not three fields
-                term = ""
-            if not term:
-                raise ValueError(f"{path}: line {lineno}: expected a term, a document "
-                                 f"number and positions, tab-separated")
-            number = numbers.get(doc)
-            if number is None:
-                raise ValueError(f"{path}: line {lineno}: document number {doc!r} is not "
-                                 f"a line of doc_lens.tsv (0 to {num_docs - 1})")
-            # Wrapped in commas, an empty item shows as ",,".
-            if not (positions.isascii() and (positions.isdigit() or (
-                    positions.replace(",", "").isdigit() and ",," not in f",{positions},"))):
-                raise ValueError(f"{path}: line {lineno}: positions {positions!r} are not "
-                                 f"ASCII digits joined by single commas")
-            opens = term != last_term
-            if opens:
-                if term < last_term:
-                    raise ValueError(f"{path}: line {lineno}: term {term!r} comes after "
-                                     f"{last_term!r}; terms must ascend in groups")
-                last_term = term
-            elif number <= last_doc:
-                raise ValueError(f"{path}: line {lineno}: document number {number} does "
-                                 f"not ascend within term {term!r}")
-            last_doc = number
-            yield lineno, term, opens, number, positions
+
+def _read_array(directory: Path, name: str, length: int) -> np.ndarray:
+    """The one-dimensional int32 array of ``length`` values in ``name.npy``."""
+    path = directory / f"{name}.npy"
+    try:
+        with open(path, "rb") as handle:
+            values = np.load(handle, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
+    if not isinstance(values, np.ndarray):
+        raise ValueError(f"{path}: holds an archive, not one array")
+    if values.dtype != _INT32 or values.ndim != 1 or len(values) != length:
+        raise ValueError(f"{path}: expected {length} little-endian int32 values in one "
+                         f"dimension, found {values.dtype} of shape {values.shape}")
+    return values
+
+
+def _check_at_least(directory: Path, name: str, values: np.ndarray, least: int) -> None:
+    if len(values) and values.min() < least:
+        at = int(values.argmin())
+        raise ValueError(f"{directory / name}.npy: value {values[at]} at index {at} is below "
+                         f"{least}")
 
 
 def _check_count(directory: Path, manifest: dict, key: str, value: int) -> None:

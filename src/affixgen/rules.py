@@ -230,12 +230,17 @@ class CharSignatures:
 
 @dataclass
 class RuleTable:
-    """Mined rules with type-frequency counts and maximum-likelihood probs."""
+    """Mined rules with type-frequency counts and maximum-likelihood probs.
+
+    ``snapshot`` is the fingerprint of the snapshot whose vocabulary was
+    mined, or empty when the vocabulary came from elsewhere.
+    """
 
     counts: dict[TransformationRule, int]
     probs: dict[TransformationRule, float]
     k_max: int
     total_count: int
+    snapshot: str = ""
 
     @classmethod
     def empty(cls, k_max: int) -> "RuleTable":
@@ -332,9 +337,15 @@ def parse_actions(text: str) -> tuple[Action, ...]:
 
 
 def save_rules(table: RuleTable, path: str | Path) -> None:
-    """Write the rule table as TSV: actions, POS tag, count, probability."""
+    """Write the rule table as TSV: actions, POS tag, count, probability.
+
+    The ``#k_max`` header comes first, then ``#snapshot`` when the table
+    records the snapshot it was mined from.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"#k_max\t{table.k_max}\n")
+        if table.snapshot:
+            handle.write(f"#snapshot\t{table.snapshot}\n")
         for rule, count, prob in table.ranked():
             handle.write(
                 f"{format_actions(rule.actions)}\t{rule.pos_tag}\t{count}\t{prob!r}\n"
@@ -344,13 +355,19 @@ def save_rules(table: RuleTable, path: str | Path) -> None:
 def load_rules(path: str | Path) -> RuleTable:
     counts: dict[TransformationRule, int] = {}
     stored_probs: dict[TransformationRule, float] = {}
-    k_max = 0
+    k_max, snapshot = 0, ""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             fields = line.split("\t")
+            if line.startswith("#snapshot\t"):
+                if len(fields) != 2 or not fields[1] or snapshot:
+                    raise ValueError(f"{path}: line {lineno}: expected one "
+                                     f"#snapshot<TAB>fingerprint header: {line!r}")
+                snapshot = fields[1]
+                continue
             header = line.startswith("#k_max\t")
             if not header and len(fields) != 4:
                 raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
@@ -374,4 +391,4 @@ def load_rules(path: str | Path) -> RuleTable:
     for rule, prob in stored_probs.items():
         if not math.isclose(prob, counts[rule] / total, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"{path}: stored probability inconsistent for {rule}")
-    return RuleTable(counts, stored_probs, k_max, total)
+    return RuleTable(counts, stored_probs, k_max, total, snapshot)

@@ -1,6 +1,7 @@
 """Configuration round trips and the command-line pipeline end to end."""
 
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -135,7 +136,8 @@ class TestCliPipeline:
     def test_index_snapshot_files(self, pipeline):
         names = {p.name for p in pipeline.root.joinpath("snapshot").iterdir()}
         # No temporary file is left beside them.
-        assert names == {"index.json", "doc_lens.tsv", "positions.tsv"}
+        assert names == {"index.json", "doc_ids.txt", "terms.txt", "lengths.npy", "dfs.npy",
+                         "row_docs.npy", "tfs.npy", "positions.npy"}
 
     def test_index_with_stopwords_round_trips(self, tmp_path, capsys):
         docs = [Document("d1", "kala talo ja kalat"), Document("d2", "ja on ja"),
@@ -164,8 +166,9 @@ class TestCliPipeline:
         assert loaded_cooc.total_windows == total == 5
 
     def test_mined_rules_file(self, pipeline):
-        text = open(pipeline.rules_file, encoding="utf-8").read()
-        assert text.startswith("#k_max\t3\n")
+        text = Path(pipeline.rules_file).read_text(encoding="utf-8")
+        fingerprint = load_index(pipeline.index_dir).fingerprint
+        assert text.startswith(f"#k_max\t3\n#snapshot\t{fingerprint}\n")
         assert len(text.splitlines()) > 10
 
     def test_generate_formations_dump(self, pipeline, tmp_path):
@@ -375,6 +378,63 @@ class TestCliPipeline:
         # Terms fall through untranslated.
         first = q.read_text(encoding="utf-8").splitlines()[0].split("\t")
         assert first[1].startswith("src")
+
+
+class TestRulesMatchTheSnapshot:
+    """Commands that read rules refuse a rules file mined from another snapshot."""
+
+    @pytest.fixture(scope="class")
+    def other(self, pipeline, tmp_path_factory):
+        """Snapshot B: the pipeline's corpus without its last document, and its rules."""
+        root = tmp_path_factory.mktemp("other")
+        lines = Path(pipeline.paths["corpus"]).read_text(encoding="utf-8").splitlines()
+        (root / "corpus.tsv").write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        snap, rules = str(root / "snap"), str(root / "rules.tsv")
+        assert main(["index", "--corpus", str(root / "corpus.tsv"), "--index-dir", snap]) == 0
+        assert main(["mine-rules", "--index-dir", snap, "--rules-file", rules]) == 0
+        return SimpleNamespace(root=root, index_dir=snap, rules_file=rules)
+
+    def argv(self, pipeline, command, index_dir, rules_file, out):
+        inputs = ["--dictionary", pipeline.paths["dictionary"],
+                  "--topics", pipeline.paths["topics"]]
+        return [command, "--index-dir", index_dir, "--rules-file", rules_file, *{
+            "translate": [*inputs, "--mode", "ag", "--out", out],
+            "generate": ["--terms", pipeline.world.bases[0], "--out", out],
+            "tune-thresholds": [*inputs, "--qrels", pipeline.paths["qrels"],
+                                "--tau-grid", "0.01", "--min-len-grid", "4,5,6"],
+        }[command]]
+
+    @pytest.mark.parametrize("command", ["translate", "generate", "tune-thresholds"])
+    def test_rules_from_another_snapshot_refused(self, pipeline, other, command, capsys):
+        out = other.root / "out.tsv"
+        capsys.readouterr()
+        for index_dir, rules_file in ((other.index_dir, pipeline.rules_file),
+                                      (pipeline.index_dir, other.rules_file)):
+            assert main(self.argv(pipeline, command, index_dir, rules_file, str(out))) == 1
+            err = capsys.readouterr().err
+            assert f"rules file {rules_file} records snapshot " in err
+            assert f"but {index_dir}/index.json is snapshot " in err
+            assert f"re-run `affixgen mine-rules` on {index_dir}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["translate", "generate"])
+    def test_rules_from_the_same_snapshot_accepted(self, pipeline, other, command, tmp_path):
+        for index_dir, rules_file in ((pipeline.index_dir, pipeline.rules_file),
+                                      (other.index_dir, other.rules_file)):
+            out = tmp_path / f"{command}.tsv"
+            assert main(self.argv(pipeline, command, index_dir, rules_file, str(out))) == 0
+            assert out.read_text(encoding="utf-8")
+
+    def test_rules_without_a_snapshot_refused(self, pipeline, tmp_path, capsys):
+        rules = tmp_path / "rules.tsv"
+        lines = Path(pipeline.rules_file).read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1].startswith("#snapshot\t")
+        rules.write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
+        argv = self.argv(pipeline, "translate", pipeline.index_dir, str(rules),
+                         str(tmp_path / "q.tsv"))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"rules file {rules} records snapshot (none)" in capsys.readouterr().err
 
 
 class TestQueryTimeWindow:

@@ -1,12 +1,18 @@
 """Tokenizer, index statistics, co-occurrence windows, and snapshots."""
 
+import hashlib
+import io
 import json
+import pickle
 import random
 import re
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from affixgen import corpus
 from affixgen.config import ExperimentConfig
 from affixgen.corpus import (
     FORMAT_VERSION,
@@ -215,6 +221,43 @@ class TestCooccurrence:
                             table.unigram_window_count.get(b, 0),
                         )
 
+    def test_window_counts_match_bruteforce_at_windows_1_3_10(self):
+        # Empty documents, documents shorter than the window, and a term that
+        # opens and one that closes every non-empty document.
+        rng = random.Random(31)
+        for _ in range(40):
+            token_docs = []
+            for _ in range(rng.randint(1, 8)):
+                n = rng.choice([0, 0, 1, 2, rng.randint(3, 30)])
+                tokens = rng.choices("abcdef", k=n)
+                if n:
+                    tokens[0], tokens[-1] = "first", "last"
+                token_docs.append(tokens)
+            for window in (1, 3, 10):
+                table = cooc_of(token_docs, window)
+                _, unigram, total = window_cooccurrence_bruteforce(token_docs, window)
+                assert table.total_windows == total
+                assert table.unigram_window_count == unigram
+                assert all(type(c) is int for c in table.unigram_window_count.values())
+
+    def test_positions_view_matches_grouped_dict(self):
+        rng = random.Random(37)
+        token_docs = [rng.choices("abcdefg", k=rng.randint(0, 20)) for _ in range(25)]
+        grouped = {}
+        for doc, tokens in enumerate(token_docs):
+            for p, term in enumerate(tokens):
+                grouped.setdefault(term, {}).setdefault(doc, []).append(p)
+        table = cooc_of(token_docs, 4)
+        assert table.positions == grouped
+        assert list(table.positions) == sorted(grouped) and len(table.positions) == len(grouped)
+        assert table.positions["a"] is table.positions["a"]  # built once, then kept
+        assert table.positions.get("z") is None and "z" not in table.positions
+        with pytest.raises(KeyError):
+            table.positions["z"]
+        with pytest.raises(TypeError):
+            table.positions["a"] = {}
+        assert PairCountMemo(table).positions is table.positions
+
 
 class TestPosLexicon:
     def test_load_and_fallback(self, tmp_path):
@@ -295,12 +338,35 @@ def snapshot_bytes(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def rewrite(directory, name, text):
+def rewrite(directory, name, data):
     """Replace a data file, recording its new size so that only the content is wrong."""
-    (directory / name).write_text(text, encoding="utf-8")
+    (directory / name).write_bytes(data)
     manifest = json.loads((directory / "index.json").read_text(encoding="utf-8"))
-    manifest["file_bytes"][name] = (directory / name).stat().st_size
+    manifest["file_bytes"][name] = len(data)
     (directory / "index.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def npy_bytes(values, **kwargs):
+    buffer = io.BytesIO()
+    np.save(buffer, values, **kwargs)
+    return buffer.getvalue()
+
+
+def npz_bytes(values):
+    buffer = io.BytesIO()
+    np.savez(buffer, values=values)
+    return buffer.getvalue()
+
+
+def read_arrays(directory):
+    return {name: np.load(directory / f"{name}.npy")
+            for name in ("lengths", "dfs", "row_docs", "tfs", "positions")}
+
+
+def rewrite_arrays(directory, **arrays):
+    """Replace int32 arrays, recording their new sizes."""
+    for name, values in arrays.items():
+        rewrite(directory, f"{name}.npy", npy_bytes(np.asarray(values, dtype="<i4")))
 
 
 def write_version_2_snapshot(directory):
@@ -312,12 +378,51 @@ def write_version_2_snapshot(directory):
     (directory / "index.json").write_text(json.dumps(index), encoding="utf-8")
     (directory / "cooccurrence.json").write_text(json.dumps(cooc), encoding="utf-8")
     (directory / "postings.tsv").write_text("a\td1\t1\nb\td1\t1\n", encoding="utf-8")
+    write_version_4_data(directory)
+
+
+def write_version_4_data(directory):
+    """The two data files of a two-token version-4 snapshot; returns its manifest."""
     (directory / "doc_lens.tsv").write_text("d1\t2\n", encoding="utf-8")
     (directory / "positions.tsv").write_text("a\t0\t0\nb\t0\t1\n", encoding="utf-8")
+    return {"format_version": 4, "kind": "snapshot", "num_docs": 1, "total_tokens": 2,
+            "vocabulary_size": 2, "tokenizer": {},
+            "file_bytes": {"doc_lens.tsv": 5, "positions.tsv": 12}}
+
+
+SNAPSHOT_FILES = {"index.json", "doc_ids.txt", "terms.txt", "lengths.npy", "dfs.npy",
+                  "row_docs.npy", "tfs.npy", "positions.npy"}
+
+
+def reject(directory, name, message):
+    """Both loaders refuse the snapshot with a message naming the file ``name``."""
+    for load in (load_index, load_cooccurrence):
+        with pytest.raises(ValueError, match=re.escape(f"{directory / name}: {message}")):
+            load(directory)
 
 
 class TestSnapshots:
     DOCS = [Document("d1", "a b c d e f a"), Document("d0", ""), Document("d2", "b c b")]
+
+    def test_snapshot_files_hold_counts(self, tmp_path):
+        manifest = save_snapshot(self.DOCS, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == SNAPSHOT_FILES
+        assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd0\nd2\n"
+        assert (tmp_path / "terms.txt").read_bytes() == b"a\nb\nc\nd\ne\nf\n"
+        arrays = read_arrays(tmp_path)
+        assert {values.dtype.str for values in arrays.values()} == {"<i4"}
+        # Rows: a 0, b 0, b 2, c 0, c 2, d 0, e 0, f 0.
+        assert {name: values.tolist() for name, values in arrays.items()} == {
+            "lengths": [7, 0, 3], "dfs": [1, 2, 2, 1, 1, 1],
+            "row_docs": [0, 0, 2, 0, 2, 0, 0, 0], "tfs": [2, 1, 2, 1, 1, 1, 1, 1],
+            "positions": [0, 6, 1, 0, 2, 2, 1, 3, 4, 5]}
+        names = ["doc_ids.txt", "terms.txt", "lengths.npy", "dfs.npy", "row_docs.npy",
+                 "tfs.npy", "positions.npy"]
+        data = [(tmp_path / name).read_bytes() for name in names]
+        assert manifest["file_bytes"] == {name: len(d) for name, d in zip(names, data)}
+        assert manifest["fingerprint"] == hashlib.sha256(b"".join(data)).hexdigest()
+        assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == manifest
+        assert load_index(tmp_path).fingerprint == manifest["fingerprint"]
 
     def test_index_round_trip_and_reproducibility(self, tmp_path):
         postings, doc_len, collection_freq = index_bruteforce(token_stream(self.DOCS))
@@ -341,7 +446,7 @@ class TestSnapshots:
         save_snapshot(self.DOCS, tmp_path)
         loaded = load_cooccurrence(tmp_path, 3)
         assert loaded.window_size == 3
-        # Documents are numbered by their line in doc_lens.tsv: d1, d0, d2.
+        # Documents are numbered by their line in doc_ids.txt: d1, d0, d2.
         assert loaded.positions == {
             "a": {0: [0, 6]}, "b": {0: [1], 2: [0, 2]}, "c": {0: [2], 2: [1]},
             "d": {0: [3]}, "e": {0: [4]}, "f": {0: [5]}}
@@ -364,6 +469,26 @@ class TestSnapshots:
             assert_counts_match_bruteforce(loaded, docs, "abcdefgh")
         assert load_cooccurrence(tmp_path).window_size == ExperimentConfig().context_window
 
+    def test_collection_of_empty_documents(self, tmp_path, monkeypatch):
+        manifest = save_snapshot([Document("d0", ""), Document("d1", "42 !")], tmp_path)
+        assert (manifest["num_docs"], manifest["total_tokens"], manifest["vocabulary_size"]) == (
+            2, 0, 0)
+        index = load_index(tmp_path)
+        assert (index.num_docs, index.total_tokens, index.vocabulary) == (2, 0, set())
+        assert dict(index.doc_len) == {"d0": 0, "d1": 0}
+
+        class NoReduceat:  # numpy, except that np.add.reduceat fails the test
+            add = SimpleNamespace(reduceat=lambda *args: pytest.fail("reduceat called"))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(corpus, "np", NoReduceat())
+        table = load_cooccurrence(tmp_path, 3)
+        assert (table.total_windows, table.unigram_window_count, table.doc_len) == (
+            0, Counter(), [0, 0])
+        assert table.positions == {} and table.pair_count("a", "b") == 0
+
     def test_duplicate_document_id_writes_nothing(self, tmp_path):
         docs = self.DOCS + [Document("d0", "a b")]
         with pytest.raises(ValueError, match="duplicate document identifier: 'd0'"):
@@ -373,26 +498,38 @@ class TestSnapshots:
     def test_version_2_snapshot_refused(self, tmp_path):
         write_version_2_snapshot(tmp_path)
         for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match="unsupported format version"):
+            with pytest.raises(ValueError, match="unsupported format version 2"):
                 load(tmp_path)
 
         # A version-3 manifest recorded the window it was indexed with.
         save_snapshot(self.DOCS, tmp_path)
         path = tmp_path / "index.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        assert manifest["format_version"] == FORMAT_VERSION == 4
+        assert manifest["format_version"] == FORMAT_VERSION == 5
         manifest.update(format_version=3, window_size=10, total_windows=6)
         path.write_text(json.dumps(manifest), encoding="utf-8")
         for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match="unsupported format version"):
+            with pytest.raises(ValueError, match="unsupported format version 3"):
+                load(tmp_path)
+
+        # A version-4 snapshot (text data files) names its version and the fix.
+        path.write_text(json.dumps(write_version_4_data(tmp_path)), encoding="utf-8")
+        for load in (load_index, load_cooccurrence):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: unsupported format version 4, this program reads version 5; "
+                    f"re-run `affixgen index`")):
                 load(tmp_path)
 
     def test_saving_over_a_version_2_snapshot_removes_its_files(self, tmp_path):
-        write_version_2_snapshot(tmp_path)
-        save_snapshot(self.DOCS, tmp_path)
-        assert {p.name for p in tmp_path.iterdir()} == {
-            "index.json", "doc_lens.tsv", "positions.tsv"}
-        assert load_cooccurrence(tmp_path).doc_len == [7, 0, 3]
+        (tmp_path / "v2").mkdir()
+        (tmp_path / "v4").mkdir()
+        write_version_2_snapshot(tmp_path / "v2")
+        manifest = write_version_4_data(tmp_path / "v4")
+        (tmp_path / "v4" / "index.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for directory in (tmp_path / "v2", tmp_path / "v4"):
+            save_snapshot(self.DOCS, directory)
+            assert {p.name for p in directory.iterdir()} == SNAPSHOT_FILES
+            assert load_cooccurrence(directory).doc_len == [7, 0, 3]
 
     @pytest.mark.parametrize(
         "key, load",
@@ -416,107 +553,161 @@ class TestSnapshots:
 
     def test_manifest_mismatch_detected(self, tmp_path):
         save_snapshot([Document("d1", "a b")], tmp_path)
-        (tmp_path / "doc_lens.tsv").write_text("d1\t2\nd9\t3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="doc_lens.tsv: size mismatch"):
-            load_index(tmp_path)
+        (tmp_path / "doc_ids.txt").write_text("d1\nd9\n", encoding="utf-8")
+        reject(tmp_path, "doc_ids.txt", "size mismatch against manifest: 6 bytes, recorded 3")
 
     def test_appended_line_fails_size_check(self, tmp_path):
         save_snapshot([Document("d1", "a b")], tmp_path)
-        with open(tmp_path / "positions.tsv", "a", encoding="utf-8") as handle:
-            handle.write("c\t0\t2\n")
-        for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match="positions.tsv: size mismatch"):
-                load(tmp_path)
+        with open(tmp_path / "terms.txt", "a", encoding="utf-8") as handle:
+            handle.write("c\n")
+        reject(tmp_path, "terms.txt", "size mismatch against manifest: 6 bytes, recorded 4")
 
     @pytest.mark.parametrize(
-        "line, loads, message",
+        "text, message",
         [
-            ("z\t0", (load_index, load_cooccurrence), "expected a term"),
-            ("z\t0\t1\textra", (load_index, load_cooccurrence), "expected a term"),
-            ("\t0\t1", (load_index, load_cooccurrence), "expected a term"),
-            ("z\t3\t1", (load_index, load_cooccurrence), "document number '3'"),
-            ("z\t-1\t1", (load_index, load_cooccurrence), "document number '-1'"),
-            ("z\t2\t1,3", (load_cooccurrence,), "position 3 is not below the length 3"),
+            (b"d1\nd 0\nd2\n", "line 2: document id 'd 0' is empty or holds whitespace"),
+            (b"d1\n\nd2\n", "line 2: document id '' is empty or holds whitespace"),
+            (b"d1\nd2\nd2\n", "line 3: document id 'd2' repeats line 2"),
+            (b"d1\nd0\nd2", "line 3 does not end with a newline"),
+            (b"d1\n\xff\nd2\n", "not UTF-8 text"),
+        ],
+        ids=["whitespace", "empty", "repeated", "no-final-newline", "not-utf8"],
+    )
+    def test_malformed_id_line_reported(self, tmp_path, text, message):
+        save_snapshot(self.DOCS, tmp_path)
+        rewrite(tmp_path, "doc_ids.txt", text)
+        reject(tmp_path, "doc_ids.txt", message)
+
+    @pytest.mark.parametrize(
+        "change, name, message",
+        [
+            # The positions of row 0, term "a" in document 0, are [0, 6].
+            ({"positions": [6, 0]}, "positions.npy", "positions [6, 0] are"),
+            ({"positions": [0, 0, 6], "tfs": 3}, "positions.npy", "positions [0, 0, 6] are"),
+            ({"positions": [0, 6, 6], "tfs": 3}, "positions.npy", "positions [0, 6, 6] are"),
+            ({"positions": [-1, 6]}, "positions.npy", "positions [-1, 6] are"),
+            ({"positions": [-1], "tfs": 1}, "positions.npy", "positions [-1] are"),
+        ],
+        ids=["6,0", "0,0,6", "0,6,6", "-1,6", "-1"],
+    )
+    def test_positions_not_strictly_ascending_rejected(self, tmp_path, change, name, message):
+        save_snapshot(self.DOCS, tmp_path)
+        arrays = read_arrays(tmp_path)
+        arrays["positions"] = np.concatenate((change["positions"], arrays["positions"][2:]))
+        arrays["tfs"][0] = change.get("tfs", 2)
+        rewrite_arrays(tmp_path, **arrays)
+        reject(tmp_path, name, f"row 0 (term 'a', document 0): {message} not strictly "
+                               f"ascending from 0 and below the document's length 7")
+
+    @pytest.mark.parametrize(
+        "terms, rows, name, message",
+        [
+            # Rows as save_index writes them: a 0, b 0, b 2, c 0, c 2, d 0, e 0, f 0.
+            ("bacdef", None, "terms.txt", "line 2: term 'a' is empty or does not come after "
+                                          "the previous term; terms must strictly ascend"),
+            ("abcbef", None, "terms.txt", "line 4: term 'b' is empty or does not come after "
+                                          "the previous term; terms must strictly ascend"),
+            ("abcdef", [0, 2, 0], "row_docs.npy",
+             "row 2 (term 'b', document 0): does not ascend within the term, after document 2"),
+            ("abcdef", [0, 0, 0], "row_docs.npy",
+             "row 2 (term 'b', document 0): does not ascend within the term, after document 0"),
+        ],
+        ids=["terms-descend", "term-group-split", "documents-descend", "document-repeated"],
+    )
+    def test_rows_out_of_order_rejected(self, tmp_path, terms, rows, name, message):
+        save_snapshot(self.DOCS, tmp_path)
+        rewrite(tmp_path, "terms.txt", "".join(f"{t}\n" for t in terms).encode())
+        if rows is not None:
+            row_docs = read_arrays(tmp_path)["row_docs"]
+            row_docs[:3] = rows
+            rewrite_arrays(tmp_path, row_docs=row_docs)
+        reject(tmp_path, name, message)
+
+    @pytest.mark.parametrize(
+        "change, name, message",
+        [
+            ({"row_docs": [0, 0, 2, 0, 2, 0, 0]}, "row_docs.npy",
+             "expected 8 little-endian int32 values in one dimension, found int32 of "
+             "shape (7,)"),
+            ({"tfs": [2, 1, 2, 1, 1, 1, 1, 1, 1]}, "tfs.npy",
+             "expected 8 little-endian int32 values in one dimension, found int32 of "
+             "shape (9,)"),
+            ({"terms": ["", "b", "c", "d", "e", "f"]}, "terms.txt",
+             "line 1: term '' is empty or does not come after the previous term"),
+            ({"row_docs": [0, 3, 2, 0, 2, 0, 0, 0]}, "row_docs.npy",
+             "row 1 (term 'b', document 3): document number is not a line of doc_ids.txt "
+             "(0 to 2)"),
+            ({"row_docs": [0, -1, 2, 0, 2, 0, 0, 0]}, "row_docs.npy",
+             "row 1 (term 'b', document -1): document number is not a line of doc_ids.txt "
+             "(0 to 2)"),
+            # Row 4 is "c" in document 2 (length 3) at position 1.
+            ({"positions": [0, 6, 1, 0, 2, 2, 3, 3, 4, 5]}, "positions.npy",
+             "row 4 (term 'c', document 2): positions [3] are not strictly ascending from 0 "
+             "and below the document's length 3"),
         ],
         ids=["two-fields", "four-fields", "empty-term", "doc-past-end", "doc-negative",
              "past-doc-end"],
     )
-    def test_malformed_positions_line_reported(self, tmp_path, line, loads, message):
+    def test_malformed_positions_line_reported(self, tmp_path, change, name, message):
+        """A row (a line of the text format) whose document, term or positions are malformed.
+
+        A row missing a field or holding an extra one is a row array one value
+        short or long.
+        """
         save_snapshot(self.DOCS, tmp_path)
-        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
-        rewrite(tmp_path, "positions.tsv", "\n".join(rows[:2] + [line] + rows[2:]) + "\n")
-        for load in loads:
-            with pytest.raises(ValueError, match=f"positions.tsv: line 3: {message}"):
-                load(tmp_path)
+        if "terms" in change:
+            rewrite(tmp_path, "terms.txt", "".join(f"{t}\n" for t in change.pop("terms")).encode())
+        rewrite_arrays(tmp_path, **change)
+        reject(tmp_path, name, message)
 
     @pytest.mark.parametrize(
-        "positions, loads, message",
+        "change, name, message",
         [
-            ("6,0", (load_cooccurrence,), "are not strictly ascending"),
-            ("0,0,6", (load_cooccurrence,), "are not strictly ascending"),
-            ("0,6,6", (load_cooccurrence,), "are not strictly ascending"),
-            # A minus sign is not a digit, so both loaders refuse these.
-            ("-1,6", (load_index, load_cooccurrence), "are not ASCII digits"),
-            ("-1", (load_index, load_cooccurrence), "are not ASCII digits"),
+            ({"lengths": [8, -1, 3]}, "lengths.npy", "value -1 at index 1 is below 0"),
+            ({"dfs": [0, 3, 2, 1, 1, 1]}, "dfs.npy", "value 0 at index 0 is below 1"),
+            ({"tfs": [0, 3, 2, 1, 1, 1, 1, 1]}, "tfs.npy", "value 0 at index 0 is below 1"),
+            # "c" also claims position 1 of document 0, which "b" holds, and none holds 2.
+            ({"positions": [0, 6, 1, 0, 2, 1, 1, 3, 4, 5]}, "positions.npy",
+             "position 1 of document 0 is held by 2 rows, not one"),
+            # Document 0 holds 7 tokens, but its rows hold 6 positions.
+            ({"positions": [0, 1, 0, 2, 2, 1, 3, 4, 5], "tfs": [1, 1, 2, 1, 1, 1, 1, 1]},
+             "positions.npy", "position 6 of document 0 is held by 0 rows, not one"),
         ],
-        ids=["6,0", "0,0,6", "0,6,6", "-1,6", "-1"],
+        ids=["negative-length", "zero-df", "zero-tf", "two-terms-one-position",
+             "tfs-short-of-length"],
     )
-    def test_positions_not_strictly_ascending_rejected(self, tmp_path, positions, loads,
-                                                       message):
-        # "a" is at 0 and 6 of the first document, on the first line.
+    def test_malformed_counts_rejected(self, tmp_path, change, name, message):
         save_snapshot(self.DOCS, tmp_path)
-        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
-        assert rows[0] == "a\t0\t0,6"
-        rewrite(tmp_path, "positions.tsv", "\n".join([f"a\t0\t{positions}"] + rows[1:]) + "\n")
-        for load in loads:
-            with pytest.raises(ValueError, match=f"positions.tsv: line 1: positions "
-                                                 f"'{positions}' {message}"):
-                load(tmp_path)
+        rewrite_arrays(tmp_path, **change)
+        reject(tmp_path, name, message)
 
     @pytest.mark.parametrize(
-        "positions",
-        ["x,y", "0,٦", "0_6", " 6", "+6", "0,,6", ",6", "0,", "", "0, 6", "6²"],
-        ids=["letters", "arabic-indic-digit", "underscore", "leading-space", "plus-sign",
-             "empty-item", "leading-comma", "trailing-comma", "empty", "space-after-comma",
-             "superscript"],
-    )
-    def test_non_canonical_position_text_rejected(self, tmp_path, positions):
-        # load_index used to count commas (tf 2 for "x,y"), and int() accepts
-        # the digit, underscore, space and sign variants.
-        save_snapshot(self.DOCS, tmp_path)
-        rows = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
-        rewrite(tmp_path, "positions.tsv", "\n".join([f"a\t0\t{positions}"] + rows[1:]) + "\n")
-        for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"positions.tsv: line 1: positions {positions!r} are not ASCII digits "
-                    f"joined by single commas")):
-                load(tmp_path)
-
-    @pytest.mark.parametrize(
-        "rows, line, message",
+        "data, message",
         [
-            # Rows as save_index writes them: a 0, b 0, b 2, c 0, c 2, d 0, e 0, f 0.
-            ([1, 0], 2, "term 'a' comes after 'b'; terms must ascend in groups"),
-            ([0, 1, 3, 2], 4, "term 'b' comes after 'c'; terms must ascend in groups"),
-            ([0, 2, 1], 3, "document number 0 does not ascend within term 'b'"),
-            ([0, 1, 1], 3, "document number 0 does not ascend within term 'b'"),
+            (npy_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, "5"], dtype=object)),
+             "not a readable .npy array"),
+            (pickle.dumps([0, 6, 1, 0, 2, 2, 1, 3, 4, 5]),
+             "not a readable .npy array"),
+            (npy_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, 5], dtype=np.int64)),
+             "found int64 of shape (10,)"),
+            (npy_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, 5], dtype=np.float64)),
+             "found float64 of shape (10,)"),
+            (npy_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, 5], dtype=">i4")),
+             "found >i4 of shape (10,)"),
+            (npy_bytes(np.array([[0, 6, 1, 0, 2], [2, 1, 3, 4, 5]], dtype=np.int32)),
+             "found int32 of shape (2, 5)"),
+            (npy_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, 5], dtype=np.int32))[:-4],
+             "not a readable .npy array"),
+            (b"0,6\n1\n0,2\n", "not a readable .npy array"),
+            (npz_bytes(np.array([0, 6, 1, 0, 2, 2, 1, 3, 4, 5], dtype=np.int32)),
+             "holds an archive, not one array"),
         ],
-        ids=["terms-descend", "term-group-split", "documents-descend", "document-repeated"],
+        ids=["object", "pickled", "int64", "float", "big-endian", "two-dimensional",
+             "truncated", "text", "archive"],
     )
-    def test_rows_out_of_order_rejected(self, tmp_path, rows, line, message):
+    def test_malformed_array_file_rejected(self, tmp_path, data, message):
         save_snapshot(self.DOCS, tmp_path)
-        written = (tmp_path / "positions.tsv").read_text(encoding="utf-8").splitlines()
-        assert written[:3] == ["a\t0\t0,6", "b\t0\t1", "b\t2\t0,2"]
-        reordered = [written[r] for r in rows] + written[max(rows) + 1:]
-        rewrite(tmp_path, "positions.tsv", "\n".join(reordered) + "\n")
-        for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"positions.tsv: line {line}: {message}")):
-                load(tmp_path)
-
-    def test_malformed_doc_lens_line_reported(self, tmp_path):
-        save_snapshot(self.DOCS, tmp_path)
-        rewrite(tmp_path, "doc_lens.tsv", "d1\t7\nd0 0\nd2\t3\n")
-        for load in (load_index, load_cooccurrence):
-            with pytest.raises(ValueError, match="doc_lens.tsv: line 2: expected a doc"):
-                load(tmp_path)
+        rewrite(tmp_path, "positions.npy", data)
+        if message.startswith("found"):
+            message = f"expected 10 little-endian int32 values in one dimension, {message}"
+        reject(tmp_path, "positions.npy", message)

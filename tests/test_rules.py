@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -356,6 +357,26 @@ class TestSerialization:
         assert loaded.probs == table.probs
         assert loaded.k_max == table.k_max
         assert loaded.total_count == table.total_count
+
+    def test_snapshot_header_round_trip(self, tmp_path):
+        table = replace(mine_rules({"cat", "cats", "mat", "mats"}), snapshot="0f" * 32)
+        path = tmp_path / "rules.tsv"
+        save_rules(table, path)
+        assert path.read_text(encoding="utf-8").splitlines()[:2] == [
+            f"#k_max\t{table.k_max}", f"#snapshot\t{'0f' * 32}"]
+        assert load_rules(path) == table
+        save_rules(mine_rules({"cat", "cats"}), path)  # mined from no snapshot
+        assert "#snapshot" not in path.read_text(encoding="utf-8")
+        assert load_rules(path).snapshot == ""
+
+    @pytest.mark.parametrize("header", ["#snapshot\t", "#snapshot\tab\tcd",
+                                        "#snapshot\tab\n#snapshot\tab"],
+                             ids=["empty", "two-fields", "repeated"])
+    def test_malformed_snapshot_header_rejected(self, tmp_path, header):
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"#k_max\t3\n{header}\ni:e:s\tUNK\t1\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line \\d: expected one #snapshot"):
+            load_rules(path)
 
     def test_ranking_is_deterministic(self, tmp_path):
         table = mine_rules({"cat", "cats", "mat", "mats"})
