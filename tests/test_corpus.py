@@ -578,6 +578,23 @@ class TestSnapshots:
         rewrite(tmp_path, "doc_ids.txt", text)
         reject(tmp_path, "doc_ids.txt", message)
 
+    def test_malformed_doc_lens_line_reported(self, tmp_path):
+        """A document whose length is missing, extra or not a count is reported.
+
+        The lengths that doc_lens.tsv held beside each id are lengths.npy, one
+        value per line of doc_ids.txt.
+        """
+        for lengths, message in [
+            ([7, 0], "expected 3 little-endian int32 values in one dimension, found int32 "
+                     "of shape (2,)"),
+            ([7, 0, 3, 0], "expected 3 little-endian int32 values in one dimension, found "
+                           "int32 of shape (4,)"),
+            ([7, -1, 3], "value -1 at index 1 is below 0"),
+        ]:
+            save_snapshot(self.DOCS, tmp_path)
+            rewrite_arrays(tmp_path, lengths=lengths)
+            reject(tmp_path, "lengths.npy", message)
+
     @pytest.mark.parametrize(
         "change, name, message",
         [
@@ -598,6 +615,27 @@ class TestSnapshots:
         rewrite_arrays(tmp_path, **arrays)
         reject(tmp_path, name, f"row 0 (term 'a', document 0): {message} not strictly "
                                f"ascending from 0 and below the document's length 7")
+
+    @pytest.mark.parametrize(
+        "positions",
+        ["x,y", "0,\u0666", "0_6", " 6", "+6", "0,,6", ",6", "0,", "", "0, 6", "6\u00b2"],
+        ids=["letters", "arabic-indic-digit", "underscore", "leading-space", "plus-sign",
+             "empty-item", "leading-comma", "trailing-comma", "empty", "space-after-comma",
+             "superscript"],
+    )
+    def test_non_canonical_position_text_rejected(self, tmp_path, positions):
+        """Positions written as text are refused, however int() would read that text.
+
+        Neither the bare text nor a .npy array of it is an int32 array.
+        """
+        save_snapshot(self.DOCS, tmp_path)
+        # The ten positions as strings, the first replaced by the text.
+        text = np.array([positions] + [str(p) for p in read_arrays(tmp_path)["positions"][1:]])
+        rewrite(tmp_path, "positions.npy", positions.encode())
+        reject(tmp_path, "positions.npy", "not a readable .npy array")
+        rewrite(tmp_path, "positions.npy", npy_bytes(text))
+        reject(tmp_path, "positions.npy", f"expected 10 little-endian int32 values in one "
+                                          f"dimension, found {text.dtype} of shape (10,)")
 
     @pytest.mark.parametrize(
         "terms, rows, name, message",
