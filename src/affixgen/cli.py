@@ -275,12 +275,12 @@ def _translation_resources(cfg: ExperimentConfig):
     else:
         _require(cfg, "dictionary")
         dictionary = load_dictionary(cfg.dictionary)
-    index = corpus_mod.load_index(cfg.index_dir)
+    snapshot = corpus_mod.read_snapshot(cfg.index_dir)
+    index = snapshot.collection_index()
     needs_cooc = cfg.weighting in ("itd", "2g") or (
         cfg.mode == "ag" and cfg.require_context
     )
-    cooc = (corpus_mod.load_cooccurrence(cfg.index_dir, cfg.context_window)
-            if needs_cooc else None)
+    cooc = snapshot.cooccurrence(cfg.context_window) if needs_cooc else None
     generator = None
     if cfg.mode == "ag":
         _require(cfg, "rules_file")

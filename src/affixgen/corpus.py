@@ -6,15 +6,16 @@ ids and the terms as text, then int32 ``.npy`` arrays of counts (each
 document's length, each term's row count, each row's document and position
 count) and each row's token positions, described by one manifest that
 records the files' sizes and their sha256 fingerprint. One reader,
-``_read_snapshot``, loads and checks every file with array operations, and
-both tables are built only from what it returns: ``load_index`` gives an
-array index, term-major CSR postings and a doc-major forward slice with the
-document lengths and collection frequencies (a term frequency is a position
-count, documents are numbered by their line in ``doc_ids.txt`` and terms by
-theirs in ``terms.txt``), and ``load_cooccurrence`` sliding w-token window
-counts for the window the reader asks for: a token at position p of an
-n-token document lies in the windows starting in
-[max(0, p - w + 1), min(p, n - w)].
+``read_snapshot``, loads and checks every file with array operations, and
+both tables are built only from the ``Snapshot`` it returns, so one read
+serves both: ``collection_index`` gives an array index, term-major CSR
+postings and a doc-major forward slice with the document lengths and
+collection frequencies (a term frequency is a position count, documents
+are numbered by their line in ``doc_ids.txt`` and terms by theirs in
+``terms.txt``), and ``cooccurrence`` sliding w-token window counts for the
+window the reader asks for: a token at position p of an n-token document
+lies in the windows starting in [max(0, p - w + 1), min(p, n - w)].
+``load_index`` and ``load_cooccurrence`` read a snapshot for one table.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ class _TermPositions(Mapping):
     A term's dict is built from its slices the first time it is read, and kept.
     """
 
-    def __init__(self, snap: _Snapshot) -> None:
+    def __init__(self, snap: Snapshot) -> None:
         self._snap = snap
         self._held: dict[str, dict[int, list[int]]] = {}
 
@@ -475,38 +476,14 @@ def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path
 
 def load_index(directory: str | Path) -> CollectionIndex:
     """Read a snapshot's index; a term frequency is the term's position count."""
-    snap = _read_snapshot(Path(directory))
-    return CollectionIndex(snap.doc_ids, snap.lengths, snap.terms, snap.term_ptr,
-                           snap.row_docs, snap.tfs, snap.manifest["fingerprint"])
+    return read_snapshot(directory).collection_index()
 
 
 def load_cooccurrence(
     directory: str | Path, window_size: int = ExperimentConfig.context_window
 ) -> CooccurrenceTable:
-    """Read a snapshot's positions into a table of ``window_size``-token windows.
-
-    Every window count is derived from the lengths and positions, so one
-    snapshot serves any window. A term's windows are counted in one pass
-    over all positions: the starts [max(0, p - w + 1), min(p, n - w)] of a
-    position p not already counted for the previous position of its row.
-    """
-    table = CooccurrenceTable(window_size)
-    snap = _read_snapshot(Path(directory))
-    w = window_size
-    lengths = snap.lengths.astype(np.int64)
-    table.doc_len = snap.lengths.tolist()
-    table.total_windows = int(np.maximum(lengths - w, 0).sum() + np.count_nonzero(lengths))
-    table.positions = _TermPositions(snap)
-    if snap.terms:  # an empty collection has no rows to count
-        at = snap.positions.astype(np.int64)
-        last = np.minimum(at, np.maximum(np.repeat(lengths[snap.row_docs], snap.tfs) - w, 0))
-        before = np.empty_like(last)
-        before[1:] = last[:-1]
-        before[snap.row_ptr[:-1]] = -1
-        counts = np.maximum(last - np.maximum(at - w + 1, before + 1) + 1, 0)
-        windows = np.add.reduceat(counts, snap.row_ptr[snap.term_ptr[:-1]])
-        table.unigram_window_count.update(dict(zip(snap.terms, windows.tolist())))
-    return table
+    """Read a snapshot's positions into a table of ``window_size``-token windows."""
+    return read_snapshot(directory).cooccurrence(window_size)
 
 
 def _text_lines(items: Iterable[str]) -> bytes:
@@ -530,11 +507,12 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-class _Snapshot(NamedTuple):
+class Snapshot(NamedTuple):
     """A checked snapshot: its files, and the offsets derived from their counts.
 
     Term t's rows are ``term_ptr[t]:term_ptr[t + 1]``, and row r's positions
-    ``positions[row_ptr[r]:row_ptr[r + 1]]``; both offsets are int64.
+    ``positions[row_ptr[r]:row_ptr[r + 1]]``; both offsets are int64. Made
+    only by ``read_snapshot``; one read builds both tables.
     """
 
     manifest: dict
@@ -547,8 +525,40 @@ class _Snapshot(NamedTuple):
     term_ptr: np.ndarray
     row_ptr: np.ndarray
 
+    def collection_index(self) -> CollectionIndex:
+        """The array index; a term frequency is the term's position count."""
+        return CollectionIndex(self.doc_ids, self.lengths, self.terms, self.term_ptr,
+                               self.row_docs, self.tfs, self.manifest["fingerprint"])
 
-def _read_snapshot(directory: Path) -> _Snapshot:
+    def cooccurrence(
+        self, window_size: int = ExperimentConfig.context_window
+    ) -> CooccurrenceTable:
+        """The table of ``window_size``-token windows over these positions.
+
+        Every window count is derived from the lengths and positions, so one
+        snapshot serves any window. A term's windows are counted in one pass
+        over all positions: the starts [max(0, p - w + 1), min(p, n - w)] of a
+        position p not already counted for the previous position of its row.
+        """
+        table = CooccurrenceTable(window_size)
+        w = window_size
+        lengths = self.lengths.astype(np.int64)
+        table.doc_len = self.lengths.tolist()
+        table.total_windows = int(np.maximum(lengths - w, 0).sum() + np.count_nonzero(lengths))
+        table.positions = _TermPositions(self)
+        if self.terms:  # an empty collection has no rows to count
+            at = self.positions.astype(np.int64)
+            last = np.minimum(at, np.maximum(np.repeat(lengths[self.row_docs], self.tfs) - w, 0))
+            before = np.empty_like(last)
+            before[1:] = last[:-1]
+            before[self.row_ptr[:-1]] = -1
+            counts = np.maximum(last - np.maximum(at - w + 1, before + 1) + 1, 0)
+            windows = np.add.reduceat(counts, self.row_ptr[self.term_ptr[:-1]])
+            table.unigram_window_count.update(dict(zip(self.terms, windows.tolist())))
+        return table
+
+
+def read_snapshot(directory: str | Path) -> Snapshot:
     """Read every file of a snapshot and check it; a defect raises ValueError naming the file.
 
     Besides each file's size, type and length: counts are at least 1,
@@ -558,6 +568,7 @@ def _read_snapshot(directory: Path) -> _Snapshot:
     document's length, and every position of every document held by
     exactly one row, so each document's term frequencies sum to its length.
     """
+    directory = Path(directory)
     path = directory / "index.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     version = manifest.get("format_version")
@@ -641,7 +652,7 @@ def _read_snapshot(directory: Path) -> _Snapshot:
         doc = int(np.searchsorted(doc_start, token, side="right")) - 1
         raise ValueError(f"{directory / 'positions.npy'}: position {token - doc_start[doc]} "
                          f"of document {doc} is held by {holders[token]} rows, not one")
-    return _Snapshot(manifest, doc_ids, terms, lengths, row_docs, tfs, positions,
+    return Snapshot(manifest, doc_ids, terms, lengths, row_docs, tfs, positions,
                      term_ptr, row_ptr)
 
 

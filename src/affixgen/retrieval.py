@@ -9,18 +9,21 @@ and interpolates it with the original query.
 
 Evaluation covers average precision, precision at fixed cutoffs, and the
 11-point interpolated precision-recall curve, plus a paired two-tailed
-t-test for comparing per-query metrics between runs.
+t-test for comparing per-query metrics between runs. Its p-value is the
+regularized incomplete beta function I_x(df/2, 1/2), x = df / (df + t^2),
+evaluated by Lentz's continued fraction (Press et al., *Numerical Recipes*,
+section 6.4) with ``math.lgamma``, so the module needs only numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import CollectionIndex
 from .disambig import (
@@ -414,15 +417,19 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-tailed paired t-test over per-query metric pairs.
 
     Degenerate inputs get defined results: fewer than two pairs or identical
-    samples give (0, 1); zero-variance nonzero differences drive p to the
-    floor instead of underflowing to zero.
+    samples give (0, 1); zero-variance nonzero differences, and a p below the
+    smallest normal float, give the floor ``P_FLOOR`` instead of zero. A pair
+    whose difference is NaN or infinite raises ValueError naming the pair.
     """
     if len(a) != len(b):
         raise ValueError(f"sample sizes differ: {len(a)} vs {len(b)}")
     n = len(a)
+    diffs = [x - y for x, y in zip(a, b)]
+    for i, d in enumerate(diffs):
+        if not math.isfinite(d):
+            raise ValueError(f"pair {i}: {a[i]!r} - {b[i]!r} is not finite")
     if n < 2:
         return 0.0, 1.0
-    diffs = [x - y for x, y in zip(a, b)]
     mean = math.fsum(diffs) / n
     var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
@@ -430,7 +437,47 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), P_FLOOR
     t = mean / math.sqrt(var / n)
-    p = 2.0 * float(stats.t.sf(abs(t), n - 1))
-    if p <= 0.0:
+    p = _t_two_sided_p(t, n - 1)
+    if p < sys.float_info.min:  # underflowed, or subnormal and short of precision
         p = P_FLOOR
     return t, min(p, 1.0)
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: I_x(df/2, 1/2).
+
+    x = df / (df + t^2) and y = t^2 / (df + t^2) are each computed directly,
+    since 1 - x loses y's precision when t^2 is small against df.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+    log_x, log_y = -math.log1p(t2 / df), -math.log1p(df / t2)
+    if x < (a + 1.0) / (a + b + 2.0):  # where the continued fraction converges fast
+        return _incomplete_beta(a, b, x, log_x, log_y)
+    return 1.0 - _incomplete_beta(b, a, y, log_y, log_x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, log_x: float, log_y: float) -> float:
+    """I_x(a, b) by Lentz's continued fraction, given log x and log y = log(1 - x)."""
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * log_x + b * log_y) / a
+    if front == 0.0:
+        return 0.0
+    tiny = 1e-300  # keeps Lentz's ratios away from zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return front * h
+    raise ArithmeticError(f"incomplete beta I_x({a}, {b}) did not converge at x = {x}")

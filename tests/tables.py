@@ -1,7 +1,8 @@
 """Tables for tests, built the one way the program builds them.
 
 Documents go through ``save_index`` into a temporary snapshot once, and the
-index and co-occurrence table are read back with ``load_index`` and
+index and co-occurrence table are built from one ``read_snapshot`` of it, as
+the ``translate`` command builds them, or read back with ``load_index`` and
 ``load_cooccurrence``, so every table a test checks is one the ``translate``
 and ``retrieve`` commands could have loaded.
 """
@@ -16,6 +17,7 @@ from affixgen.corpus import (
     Document,
     load_cooccurrence,
     load_index,
+    read_snapshot,
     save_index,
     tokenize,
 )
@@ -41,7 +43,8 @@ def _snapshot(docs):
 def tables(docs, window=ExperimentConfig.context_window):
     """The index and ``window``-token co-occurrence table of one snapshot of ``docs``."""
     with _snapshot(docs) as directory:
-        return load_index(directory), load_cooccurrence(directory, window)
+        snapshot = read_snapshot(directory)
+        return snapshot.collection_index(), snapshot.cooccurrence(window)
 
 
 def index_of(docs):

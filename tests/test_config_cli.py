@@ -1,12 +1,17 @@
 """Configuration round trips and the command-line pipeline end to end."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
 
 import pytest
+import scipy.stats
 
+import affixgen
 from affixgen.cli import build_parser, main
 from affixgen import corpus
 from affixgen.corpus import (
@@ -20,6 +25,7 @@ from affixgen.disambig import (
     build_weighted_query,
     save_weighted_queries,
 )
+from affixgen.retrieval import evaluate, load_qrels, load_run
 from affixgen.config import (
     ExperimentConfig,
     apply_overrides,
@@ -357,13 +363,31 @@ class TestCliPipeline:
         report = capsys.readouterr().out
 
         def refuse(*args, **kwargs):
-            raise AssertionError("load_cooccurrence called")
+            raise AssertionError("co-occurrence table built")
 
-        # Neither the weighting nor the context filter reads the table.
-        monkeypatch.setattr(corpus, "load_cooccurrence", refuse)
+        # Neither the weighting nor the context filter reads the table, and
+        # every path to one goes through Snapshot.cooccurrence.
+        monkeypatch.setattr(corpus.Snapshot, "cooccurrence", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == report
         assert "mean_test_map" in report
+
+    @pytest.mark.parametrize("command", ["translate", "tune-thresholds"])
+    def test_one_snapshot_read_builds_both_tables(self, pipeline, tmp_path, monkeypatch,
+                                                  command):
+        # itd weighting and the ag context filter both need the co-occurrence table.
+        reads, read = [], corpus.read_snapshot
+        monkeypatch.setattr(corpus, "read_snapshot",
+                            lambda directory: reads.append(directory) or read(directory))
+        argv = [command, "--dictionary", pipeline.paths["dictionary"],
+                "--topics", pipeline.paths["topics"], "--index-dir", pipeline.index_dir,
+                "--rules-file", pipeline.rules_file, "--mode", "ag", "--weighting", "itd"]
+        if command == "translate":
+            argv += ["--out", str(tmp_path / "q.tsv")]
+        else:
+            argv += ["--qrels", pipeline.paths["qrels"], "--tau-grid", "0.01", "--folds", "2"]
+        assert main(argv) == 0
+        assert reads == [pipeline.index_dir]
 
     def test_monolingual_mode_skips_dictionary(self, pipeline, tmp_path):
         q = tmp_path / "q.tsv"
@@ -378,6 +402,42 @@ class TestCliPipeline:
         # Terms fall through untranslated.
         first = q.read_text(encoding="utf-8").splitlines()[0].split("\t")
         assert first[1].startswith("src")
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's affixgen."""
+    env = dict(os.environ, PYTHONPATH=str(Path(affixgen.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
+
+
+class TestWithoutScipy:
+    """The program runs on numpy alone; scipy is only a test reference."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        run_child(f"import sys, affixgen, affixgen.cli\n{NO_SCIPY}")
+
+    def test_ttest_command_prints_the_scipy_p_value(self, pipeline, tmp_path):
+        runs = {}
+        for name, extra in (("plain", ()), ("ag", ("--mode", "ag",
+                                                   "--rules-file", pipeline.rules_file))):
+            queries, runs[name] = tmp_path / f"q_{name}.tsv", tmp_path / f"run_{name}.txt"
+            assert translate(pipeline, queries, "--weighting", "2g", *extra) == 0
+            assert retrieve(pipeline, queries, runs[name]) == 0
+        out = run_child(f"import sys\nfrom affixgen.cli import main\nstatus = main(sys.argv[1:])\n"
+                        f"{NO_SCIPY}\nsys.exit(status)", "ttest",
+                        "--qrels", pipeline.paths["qrels"],
+                        "--run-a", str(runs["ag"]), "--run-b", str(runs["plain"]))
+        qrels = load_qrels(pipeline.paths["qrels"])
+        ag, plain = (evaluate(load_run(runs[name]), qrels).per_query for name in ("ag", "plain"))
+        common = sorted(set(ag) & set(plain))
+        ref = scipy.stats.ttest_rel([ag[q].ap for q in common], [plain[q].ap for q in common])
+        assert f"p\t{float(ref.pvalue):.6g}\n" in out
 
 
 class TestRulesMatchTheSnapshot:

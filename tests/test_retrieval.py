@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,6 +18,7 @@ from affixgen.retrieval import (
     RetrievalConfig,
     RunFile,
     _feedback_counts,
+    _t_two_sided_p,
     evaluate,
     feedback_model,
     load_qrels,
@@ -624,3 +626,61 @@ class TestPairedTtest:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             paired_ttest([1.0], [1.0, 2.0])
+
+
+class TestPairedTtestInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pair_rejected(self, bad):
+        a, b = [0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.2, 0.3]
+        for i in (0, 2):
+            for left, right in ((a[:i] + [bad] + a[i + 1:], b), (a, b[:i] + [bad] + b[i + 1:])):
+                with pytest.raises(ValueError, match=rf"^pair {i}: .* is not finite$"):
+                    paired_ttest(left, right)
+        with pytest.raises(ValueError, match="pair 0"):  # even where n < 2 gives (0, 1)
+            paired_ttest([bad], [0.0])
+
+    def test_subnormal_p_floored(self):
+        # 1,000 differences 1 +- 0.56: t = sqrt(999) / 0.56 = 56.4, p ~ 1e-310.
+        t, p = paired_ttest([1.0 + 0.56 * (-1) ** i for i in range(1000)], [0.0] * 1000)
+        assert t == pytest.approx(math.sqrt(999) / 0.56)
+        assert 0.0 < _t_two_sided_p(t, 999) < 2.3e-308 and p == 1e-300
+
+
+class TestStudentTPValue:
+    """The two-sided p-value against exact references, over df 1-5,000 and t in [1e-9, 50]."""
+
+    @staticmethod
+    def reference(t, df):
+        with mpmath.workdps(40):
+            t = mpmath.mpf(t)
+            if df == 1:
+                return 1 - 2 / mpmath.pi * mpmath.atan(t)
+            if df == 2:
+                s = mpmath.sqrt(t * t + 2)
+                return 2 / (s * (s + t))
+            return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t),
+                                  regularized=True)
+
+    def test_matches_exact_references(self):
+        rng = random.Random(7)
+        dfs = list(range(1, 31)) + [50, 99, 100, 199, 200, 500, 999, 1000, 2000, 4999, 5000]
+        dfs += rng.sample(range(31, 5001), 25)
+        ts = [1e-9, 1.69e-8, 1e-4, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 50.0]
+        ts += [10 ** rng.uniform(-9, math.log10(50)) for _ in range(20)]
+        checked, worst = 0, (0.0, None)
+        for df in dfs:
+            for t in ts:
+                ref = self.reference(t, df)
+                if ref < 1e-300:
+                    continue
+                with mpmath.workdps(40):
+                    error = float(abs(mpmath.mpf(_t_two_sided_p(t, df)) - ref) / ref)
+                worst = max(worst, (error, (t, df)))
+                checked += 1
+        assert checked > 1500
+        assert worst[0] <= 1e-9, worst
+
+    def test_sign_and_zero(self):
+        assert _t_two_sided_p(0.0, 7) == 1.0
+        assert _t_two_sided_p(-2.5, 7) == _t_two_sided_p(2.5, 7)
+        assert _t_two_sided_p(1e200, 3) == 0.0  # underflows; paired_ttest floors it
