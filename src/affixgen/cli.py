@@ -396,10 +396,7 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
 
     def run_map(topic_subset, tau: float, min_len: str) -> float:
         variant = replace(cfg, rule_prob_threshold=tau, min_len=min_len)
-        generator = FormationGenerator(
-            index.vocabulary, base.rules, base.tagger, _noise_config(variant),
-            MedConfig(k_max=cfg.k_max),
-        )
+        generator = base.with_noise(_noise_config(variant))
         queries = _build_queries(variant, topic_subset, dictionary, index, cooc,
                                  generator, stemmer)
         run = run_queries(queries, index, rcfg, cfg.run_tag, prf=cfg.prf)

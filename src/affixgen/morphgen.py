@@ -6,10 +6,17 @@ the free-form string set a rule can produce, candidate surfaces are taken
 from the collection vocabulary and kept when some rule of sufficient
 probability maps the word onto them. Candidates then pass length and
 co-occurrence filters that weed out coincidental near neighbours.
+
+A ``FormationGenerator`` searches the vocabulary once per word and POS tag
+and keeps the word's neighbour list (surface, distance, rule, probability)
+for as long as the generator lives, without bound; the noise thresholds are
+applied each time the list is read, so generators that differ only in them
+share one store.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -73,6 +80,10 @@ class FormationCandidate:
     prob: float
 
 
+# (surface, indel distance, rule, rule probability)
+_Neighbour = tuple[str, int, TransformationRule, float]
+
+
 @dataclass(frozen=True)
 class NoiseFilterConfig:
     """Thresholds that separate morphological relatives from lookalikes.
@@ -101,10 +112,16 @@ class FormationGenerator:
     """Reusable generator over a fixed vocabulary and rule table.
 
     The vocabulary's character-count prefilter, the one rule mining uses, is
-    built once. Per-word generation then costs one merge of the word's
-    per-character inverted lists plus one banded alignment per survivor,
-    which gives both the unit-cost distance the length floor reads and the
-    rule; the rule is traced only for candidates that clear the floor.
+    built once. The first ``generate`` call for a ``(word, POS tag)`` searches
+    it: one merge of the word's per-character inverted lists plus one banded
+    alignment and traceback per survivor. It stores the word's neighbour
+    list, ``(surface, distance, rule, probability)`` for every vocabulary word
+    within ``k_max``, sorted by descending probability then surface, with one
+    rule object per distinct rule. The store is unbounded: it grows with the
+    distinct ``(word, tag)`` pairs the generator sees. Every call reads the
+    list through ``min_len`` and ``rule_prob_threshold``, which is exact
+    because tightening either only drops formations; ``with_noise`` gives a
+    generator under other thresholds that shares the store.
     """
 
     def __init__(
@@ -119,17 +136,40 @@ class FormationGenerator:
         self.cfg = cfg or NoiseFilterConfig()
         self.med = med or MedConfig(k_max=rules.k_max or 3)
         self.tagger = as_tagger(pos)
+        self._check_min_len()
+        self.words = sorted(set(vocab))
+        self._signatures = CharSignatures(self.words)
+        self._neighbours: dict[tuple[str, str], list[_Neighbour]] = {}
+        self._interned: dict[TransformationRule, TransformationRule] = {}
+
+    def with_noise(self, cfg: NoiseFilterConfig) -> FormationGenerator:
+        """This generator under ``cfg``, sharing its search and neighbour lists."""
+        variant = copy.copy(self)
+        variant.cfg = cfg
+        variant._check_min_len()
+        return variant
+
+    def _check_min_len(self) -> None:
         for k in range(1, self.med.k_max + 1):
             if k not in self.cfg.min_len:
                 raise ValueError(f"min_len missing an entry for distance {k}")
-        self.words = sorted(set(vocab))
-        self._signatures = CharSignatures(self.words)
 
     def generate(self, w: str, pos_tag: str | None = None) -> list[FormationCandidate]:
         """Likelihood- and length-filtered formations of ``w`` from the vocabulary."""
         if not self.words:
             return []
         tag = pos_tag if pos_tag is not None else self.tagger(w)
+        neighbours = self._neighbours.get((w, tag))
+        if neighbours is None:
+            neighbours = self._neighbours[w, tag] = self._search(w, tag)
+        min_len = self.cfg.min_len
+        threshold = self.cfg.rule_prob_threshold
+        return [FormationCandidate(surface, w, rule, prob)
+                for surface, d, rule, prob in neighbours
+                if len(surface) >= min_len[d] and prob >= threshold]
+
+    def _search(self, w: str, tag: str) -> list[_Neighbour]:
+        """Every vocabulary word within ``k_max`` of ``w``, with its rule."""
         k = self.med.k_max
         out = []
         for row in self._signatures.within(w, k):
@@ -140,14 +180,10 @@ class FormationGenerator:
             if band is None:
                 continue
             d, rows = band
-            if len(surface) < self.cfg.min_len[d]:
-                continue
             rule = TransformationRule(_traceback(w, surface, rows, k), tag)
-            prob = self.rules.prob(rule)
-            if prob < self.cfg.rule_prob_threshold:
-                continue
-            out.append(FormationCandidate(surface, w, rule, prob))
-        out.sort(key=lambda c: (-c.prob, c.surface))
+            rule = self._interned.setdefault(rule, rule)
+            out.append((surface, d, rule, self.rules.prob(rule)))
+        out.sort(key=lambda n: (-n[3], n[0]))
         return out
 
 

@@ -13,7 +13,7 @@ import scipy.stats
 
 import affixgen
 from affixgen.cli import build_parser, main
-from affixgen import corpus
+from affixgen import corpus, morphgen
 from affixgen.corpus import (
     Document,
     load_cooccurrence,
@@ -370,6 +370,37 @@ class TestCliPipeline:
         monkeypatch.setattr(corpus.Snapshot, "cooccurrence", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == report
+        assert "mean_test_map" in report
+
+    def test_tune_thresholds_searches_the_vocabulary_once(self, pipeline, capsys,
+                                                         monkeypatch):
+        argv = [
+            "tune-thresholds",
+            "--dictionary", pipeline.paths["dictionary"],
+            "--topics", pipeline.paths["topics"],
+            "--index-dir", pipeline.index_dir,
+            "--rules-file", pipeline.rules_file,
+            "--qrels", pipeline.paths["qrels"],
+            "--weighting", "2g",  # under 2g the MAP differs across this grid
+            "--tau-grid", "0,0.01,0.9",
+            "--min-len-grid", "4,5,6;1,1,1",
+            "--folds", "2",
+        ]
+        builds, signatures = [], morphgen.CharSignatures
+        monkeypatch.setattr(morphgen, "CharSignatures",
+                            lambda words: builds.append(words) or signatures(words))
+        capsys.readouterr()
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert len(builds) == 1
+        # The reference builds a generator from scratch at every grid point.
+        monkeypatch.setattr(
+            morphgen.FormationGenerator, "with_noise",
+            lambda self, cfg: morphgen.FormationGenerator(
+                self.words, self.rules, self.tagger, cfg, self.med))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
+        assert len(builds) > 2
         assert "mean_test_map" in report
 
     @pytest.mark.parametrize("command", ["translate", "tune-thresholds"])

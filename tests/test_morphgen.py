@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from affixgen import morphgen
 from affixgen.corpus import PosLexicon
 from affixgen.disambig import BilingualDictionary, build_candidate_sets
 from affixgen.morphgen import (
@@ -19,6 +20,7 @@ from affixgen.morphgen import (
 )
 from affixgen.rules import (
     Action,
+    CharSignatures,
     RuleTable,
     TransformationRule,
     mine_rules,
@@ -103,6 +105,8 @@ class TestFormationGenerator:
             FormationGenerator(
                 {"cat"}, rules, cfg=NoiseFilterConfig(min_len={1: 4, 2: 5})
             )
+        with pytest.raises(ValueError, match="min_len"):
+            FormationGenerator({"cat"}, rules).with_noise(NoiseFilterConfig(min_len={1: 4, 2: 5}))
 
     def test_word_never_generates_itself(self):
         rules = table_of([(rule_of(("i", "e", "s")), 1)])
@@ -142,13 +146,19 @@ class TestFormationGenerator:
     def test_generate_matches_bruteforce_on_the_synthetic_world(self):
         vocab = sorted(index_of(build_world().documents).vocabulary)
         rules = mine_rules(vocab)
+        rng = random.Random(17)
+        # Out-of-vocabulary words one edit from vocabulary words, so they
+        # have neighbours; they go through the same search.
+        oov = sorted(({w + "q" for w in rng.sample(vocab, 4)}
+                      | {w[1:] for w in rng.sample(vocab, 4)}) - set(vocab))
+        assert len(oov) >= 6
         gen_zero = FormationGenerator(vocab, rules, cfg=NoiseFilterConfig(rule_prob_threshold=0.0))
         gen_default = FormationGenerator(vocab, rules)
         k = rules.k_max
         # Two words lie within indel distance k exactly when deleting at most
         # k characters in all from the two leaves a common subsequence.
         holders: dict[str, set[str]] = {}
-        for word in vocab:
+        for word in vocab + oov:
             for kept in range(max(0, len(word) - k), len(word) + 1):
                 for idx in itertools.combinations(range(len(word)), kept):
                     holders.setdefault("".join(word[i] for i in idx), set()).add(word)
@@ -159,14 +169,68 @@ class TestFormationGenerator:
         def distance(a, b):  # the LCS identity up to k, and above k beyond it
             return distances.get((a, b) if a < b else (b, a), k + 1)
 
-        found = 0
+        found, found_oov = 0, 0
         for gen in (gen_zero, gen_default):
-            for w in vocab:
+            expected = {w: generate_formations_bruteforce(
+                w, vocab, rules, gen.cfg, gen.med.k_max, distance=distance)
+                for w in vocab + oov}
+            # Each word's first call and its repeat, interleaved with others'.
+            calls = (vocab + oov) * 2
+            rng.shuffle(calls)
+            for w in calls:
                 got = gen.generate(w)
-                assert got == generate_formations_bruteforce(
-                    w, vocab, rules, gen.cfg, gen.med.k_max, distance=distance)
+                assert got == expected[w]
                 found += len(got)
-        assert found > 0
+            found_oov += sum(len(expected[w]) for w in oov)
+        assert found > 0 and found_oov > 0
+
+    def test_each_word_and_tag_is_searched_once(self, monkeypatch):
+        searches, bands = [], []
+        within, band = CharSignatures.within, morphgen._band
+        monkeypatch.setattr(CharSignatures, "within",
+                            lambda self, w, k: searches.append(w) or within(self, w, k))
+        monkeypatch.setattr(morphgen, "_band", lambda *a: bands.append(a) or band(*a))
+        plural, plural_n = rule_of(("i", "e", "s")), rule_of(("i", "e", "s"), tag="N")
+        rules = table_of([(plural, 1), (plural_n, 1)])
+        cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})
+        gen = FormationGenerator({"cat", "cats", "dog", "dogs"}, rules, cfg=cfg)
+        first = gen.generate("cat")
+        assert [c.rule for c in first] == [plural]
+        assert (searches, len(bands)) == (["cat"], 1)
+        assert gen.generate("cat") == first
+        assert (searches, len(bands)) == (["cat"], 1)
+        # Another tag is another rule, so another search.
+        tagged = gen.generate("cat", pos_tag="N")
+        assert [c.rule for c in tagged] == [plural_n]
+        assert gen.generate("cat", pos_tag="N") == tagged
+        assert (searches, len(bands)) == (["cat", "cat"], 2)
+        assert FormationGenerator(set(), rules, cfg=cfg).generate("cat") == []
+        assert len(searches) == 2
+        # One rule object per distinct rule across the stored lists.
+        (dogs,) = gen.generate("dog", pos_tag="N")
+        assert dogs.surface == "dogs" and dogs.rule is tagged[0].rule
+
+    def test_threshold_variants_match_a_fresh_generator(self):
+        vocab = sorted(index_of(build_world().documents).vocabulary)
+        rules = mine_rules(vocab)
+        # Words of 11 to 15 letters, so the 14,15,16 floors bind; the
+        # out-of-vocabulary words' rules were never mined, so only tau = 0
+        # keeps their formations.
+        words = vocab + [w + "q" for w in vocab[::60]]
+        grid = [NoiseFilterConfig(rule_prob_threshold=tau, min_len=min_len)
+                for tau in (1e-2, 1e-3, 1e-4, 0.0)
+                for min_len in ({1: 14, 2: 15, 3: 16}, {1: 4, 2: 5, 3: 6}, {1: 1, 2: 1, 3: 1})]
+        expected = [[fresh.generate(w) for w in words]
+                    for fresh in (FormationGenerator(vocab, rules, cfg=cfg) for cfg in grid)]
+        assert len({sum(map(len, lists)) for lists in expected}) >= 3
+        base = FormationGenerator(vocab, rules)
+        # Tightest first, then loosest first: a store filtered by the first
+        # reader's thresholds, or read unfiltered, fails one of the passes.
+        order = list(range(len(grid)))
+        for i in order + order[::-1]:
+            variant = base.with_noise(grid[i])
+            assert variant.cfg is grid[i] and base.cfg == NoiseFilterConfig()
+            assert [variant.generate(w) for w in words] == expected[i]
 
     def test_tightening_either_knob_only_shrinks(self):
         rng = random.Random(32)
