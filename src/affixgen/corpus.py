@@ -14,8 +14,10 @@ collection frequencies (a term frequency is a position count, documents
 are numbered by their line in ``doc_ids.txt`` and terms by theirs in
 ``terms.txt``), and ``cooccurrence`` sliding w-token window counts for the
 window the reader asks for: a token at position p of an n-token document
-lies in the windows starting in [max(0, p - w + 1), min(p, n - w)].
-``load_index`` and ``load_cooccurrence`` read a snapshot for one table.
+lies in the windows starting in [max(0, p - w + 1), min(p, max(n - w, 0))];
+the table counts each term's windows when it is built, and a query's pairs
+when asked. ``load_index`` and ``load_cooccurrence`` read a snapshot for one
+table.
 """
 
 from __future__ import annotations
@@ -215,113 +217,104 @@ class _Postings(Mapping):
 
 
 class CooccurrenceTable:
-    """Sliding-window co-occurrence counts, computed from token positions.
+    """Sliding-window co-occurrence counts, computed from a snapshot's positions.
 
     Windows of ``window_size`` (w) tokens advance one token at a time within
     each document and never cross document boundaries; a document of
     0 < n <= w tokens holds one window, an empty one none. A window counts
     each distinct unordered term pair once, and self pairs are excluded.
-    Only the document lengths (``doc_len``, one per line of the snapshot's
-    ``doc_ids.txt``, empty documents included, so a document's number is
-    its line there) and each term's ascending positions in each document
-    holding it (``positions[term][doc]``, a read-only mapping) are stored.
-    A term's windows in a document are the union of
-    [max(0, p - w + 1), min(p, n - w)] over its positions p;
-    ``unigram_window_count`` sums the union's size over documents and
-    ``pair_count(a, b)`` the size of two terms' intersection.
+    The table holds the checked ``snapshot``, ``total_windows`` and each
+    term's ``unigram_window_count``; ``pair_counts`` counts the pairs of a
+    query's terms from the snapshot's arrays when asked.
     """
 
-    def __init__(self, window_size: int) -> None:
+    def __init__(self, snapshot: Snapshot, window_size: int) -> None:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
-        self.window_size = window_size
-        self.positions: Mapping[str, dict[int, list[int]]] = {}
-        self.doc_len: list[int] = []
+        self.snapshot, self.window_size = snapshot, window_size
+        lengths = snapshot.lengths.astype(np.int64)
+        self.total_windows = int(np.maximum(lengths - window_size, 0).sum()
+                                 + np.count_nonzero(lengths))
         self.unigram_window_count: Counter[str] = Counter()
-        self.total_windows: int = 0
+        if snapshot.terms:  # an empty collection has no rows to count
+            first, last = _window_starts(snapshot, slice(None), snapshot.row_docs.repeat(
+                snapshot.tfs), snapshot.row_ptr[:-1], window_size)
+            last -= first - 1  # each interval's size
+            windows = np.add.reduceat(last, snapshot.row_ptr[snapshot.term_ptr[:-1]])
+            self.unigram_window_count.update(dict(zip(snapshot.terms, windows.tolist())))
 
-    def _windows(self, positions: list[int], n: int) -> int:
-        """How many windows of an n-token document hold any of the ascending positions."""
-        w = self.window_size
-        final = n - w if n > w else 0  # the last window start
-        count, counted_to = 0, -1
-        for p in positions:  # add the starts in [p - w + 1, min(p, final)] not yet counted
-            last = p if p < final else final
-            first = p - w + 1 if p - w >= counted_to else counted_to + 1
-            if last >= first:
-                count += last - first + 1
-                counted_to = last
-        return count
+    def pair_counts(self, terms: Sequence[str]) -> np.ndarray:
+        """The int64 matrix of windows holding ``terms[i]`` and ``terms[j]``.
 
-    def pair_count(self, a: str, b: str) -> int:
-        if a == b:
-            return 0
-        in_a, in_b = self.positions.get(a, {}), self.positions.get(b, {})
-        count = 0
-        for doc in in_a.keys() & in_b.keys():
-            pos_a, pos_b, n = in_a[doc], in_b[doc], self.doc_len[doc]
-            # |A & B| = |A| + |B| - |A | B|, and A | B are the windows holding either term.
-            count += (self._windows(pos_a, n) + self._windows(pos_b, n)
-                      - self._windows(sorted(pos_a + pos_b), n))
-        return count
-
-
-class _TermPositions(Mapping):
-    """Read-only ``term -> {doc: ascending positions}`` over a snapshot's rows.
-
-    A term's dict is built from its slices the first time it is read, and kept.
-    """
-
-    def __init__(self, snap: Snapshot) -> None:
-        self._snap = snap
-        self._held: dict[str, dict[int, list[int]]] = {}
-
-    def get(self, term: str, default=None):
-        held = self._held.get(term)
-        if held is None:
-            snap = self._snap
+        One pass over the terms' positions: their intervals (see
+        ``_window_starts``) are sorted by first start, each is paired with the
+        later ones that start by its last start, and one ``bincount`` sums the
+        overlaps per pair of terms. The sum is exact because a row's
+        intervals are disjoint, and the same term never pairs with itself, so
+        a term listed twice, or one outside the vocabulary, counts 0.
+        """
+        snap = self.snapshot
+        slots: dict[int, int] = {}  # term id -> its row and column of ``sums``, from 1
+        slot_of = []  # each term's slot; slot 0, all zeros, for a term outside the vocabulary
+        for term in terms:
             t = bisect_left(snap.terms, term)  # terms strictly ascend
-            if t == len(snap.terms) or snap.terms[t] != term:
-                return default
-            lo, hi = snap.term_ptr[t], snap.term_ptr[t + 1]
-            cuts = (snap.row_ptr[lo:hi + 1] - snap.row_ptr[lo]).tolist()
-            at = snap.positions[snap.row_ptr[lo]:snap.row_ptr[hi]].tolist()
-            held = self._held[term] = {doc: at[a:b] for doc, a, b in zip(
-                snap.row_docs[lo:hi].tolist(), cuts, cuts[1:])}
-        return held
-
-    def __getitem__(self, term: str) -> dict[int, list[int]]:
-        held = self.get(term)
-        if held is None:
-            raise KeyError(term)
-        return held
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._snap.terms)
-
-    def __len__(self) -> int:
-        return len(self._snap.terms)
-
-
-class PairCountMemo(CooccurrenceTable):
-    """A view of a table that counts each unordered pair at most once.
-
-    It shares the table's data, and remembers every pair count it computes,
-    so it is made for one query and dropped with it; a memo kept for a whole
-    run would grow with every pair any query touched.
-    """
-
-    def __init__(self, table: CooccurrenceTable) -> None:
-        vars(self).update(vars(table))
-        self._count = table.pair_count
-        self._counts: dict[tuple[str, str], int] = {}
+            slot_of.append(slots.setdefault(t, len(slots) + 1)
+                           if t < len(snap.terms) and snap.terms[t] == term else 0)
+        held = np.fromiter(slots, dtype=np.int64, count=len(slots))
+        lo, hi = snap.row_ptr[snap.term_ptr[held]], snap.row_ptr[snap.term_ptr[held + 1]]
+        at = _ranges(lo, hi - lo)  # a term's positions are one block
+        rows = snap.row_ptr.searchsorted(at, side="right") - 1
+        start, end = _window_starts(snap, at, snap.row_docs[rows], at == snap.row_ptr[rows],
+                                    self.window_size)
+        order = start.argsort()
+        start, end = start[order], end[order]
+        owner = np.arange(1, len(held) + 1).repeat(hi - lo)[order]
+        after = np.arange(1, len(start) + 1)
+        # The later intervals that start by this one's last start; none for an empty one.
+        later = np.maximum(start.searchsorted(end, side="right") - after, 0)
+        a, b = (after - 1).repeat(later), _ranges(after, later)
+        overlap = np.minimum(end[a], end[b]) - start[b] + 1
+        m = len(slots) + 1
+        sums = np.bincount(owner[a] * m + owner[b], overlap, m * m).reshape(m, m)
+        return (sums + sums.T).astype(np.int64).take(slot_of, 0).take(slot_of, 1)
 
     def pair_count(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        count = self._counts.get(key)
-        if count is None:
-            count = self._counts[key] = self._count(*key)
-        return count
+        return int(self.pair_counts([a, b])[0, 1])
+
+
+def _ranges(lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[i]:lo[i] + sizes[i]`` one after another, as one int64 array."""
+    ends = sizes.cumsum()
+    return (lo - ends + sizes).repeat(sizes) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _window_starts(
+    snap: Snapshot, at: np.ndarray | slice, docs: np.ndarray, opens: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window starts each position ``snap.positions[at]`` adds to its row.
+
+    ``docs`` gives each position's document and ``opens`` the positions, by
+    index or mask, that begin a row, whose positions come one after another.
+    A position p of an n-token document lies in the windows starting in
+    [max(0, p - w + 1), min(p, max(n - w, 0))] and adds [first, last] of
+    them: last = min(p, max(n - w, 0)) and first = max(p - w + 1, previous
+    last + 1), or max(p - w + 1, 0) at a row's start. A row's intervals are
+    disjoint, an empty one has first = last + 1, and their sizes sum to the
+    term's window count in the document. Starts are returned as places in
+    the token stream (``doc_start[doc] + start``), so documents never meet.
+    """
+    p = snap.positions[at].astype(np.int64)
+    last = np.minimum(p, np.maximum(snap.lengths[docs] - w, 0))
+    first = np.empty_like(last)
+    first[1:] = last[:-1]
+    first[1:] += 1
+    first[opens] = 0
+    p -= w - 1  # in place, as the load pass holds every position
+    np.maximum(first, p, out=first)
+    offset = snap.doc_start[docs]
+    first += offset
+    last += offset
+    return first, last
 
 
 @dataclass
@@ -510,9 +503,11 @@ def _write_atomic(path: Path, data: bytes) -> None:
 class Snapshot(NamedTuple):
     """A checked snapshot: its files, and the offsets derived from their counts.
 
-    Term t's rows are ``term_ptr[t]:term_ptr[t + 1]``, and row r's positions
-    ``positions[row_ptr[r]:row_ptr[r + 1]]``; both offsets are int64. Made
-    only by ``read_snapshot``; one read builds both tables.
+    Term t's rows are ``term_ptr[t]:term_ptr[t + 1]``, row r's positions
+    ``positions[row_ptr[r]:row_ptr[r + 1]]``, and document d's tokens
+    ``doc_start[d]:doc_start[d + 1]`` of the collection's token stream; the
+    offsets are int64. Made only by ``read_snapshot``; one read builds both
+    tables.
     """
 
     manifest: dict
@@ -524,6 +519,7 @@ class Snapshot(NamedTuple):
     positions: np.ndarray
     term_ptr: np.ndarray
     row_ptr: np.ndarray
+    doc_start: np.ndarray
 
     def collection_index(self) -> CollectionIndex:
         """The array index; a term frequency is the term's position count."""
@@ -536,26 +532,9 @@ class Snapshot(NamedTuple):
         """The table of ``window_size``-token windows over these positions.
 
         Every window count is derived from the lengths and positions, so one
-        snapshot serves any window. A term's windows are counted in one pass
-        over all positions: the starts [max(0, p - w + 1), min(p, n - w)] of a
-        position p not already counted for the previous position of its row.
+        snapshot serves any window.
         """
-        table = CooccurrenceTable(window_size)
-        w = window_size
-        lengths = self.lengths.astype(np.int64)
-        table.doc_len = self.lengths.tolist()
-        table.total_windows = int(np.maximum(lengths - w, 0).sum() + np.count_nonzero(lengths))
-        table.positions = _TermPositions(self)
-        if self.terms:  # an empty collection has no rows to count
-            at = self.positions.astype(np.int64)
-            last = np.minimum(at, np.maximum(np.repeat(lengths[self.row_docs], self.tfs) - w, 0))
-            before = np.empty_like(last)
-            before[1:] = last[:-1]
-            before[self.row_ptr[:-1]] = -1
-            counts = np.maximum(last - np.maximum(at - w + 1, before + 1) + 1, 0)
-            windows = np.add.reduceat(counts, self.row_ptr[self.term_ptr[:-1]])
-            table.unigram_window_count.update(dict(zip(self.terms, windows.tolist())))
-        return table
+        return CooccurrenceTable(self, window_size)
 
 
 def read_snapshot(directory: str | Path) -> Snapshot:
@@ -571,12 +550,18 @@ def read_snapshot(directory: str | Path) -> Snapshot:
     directory = Path(directory)
     path = directory / "index.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a snapshot manifest")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version!r}, this program "
                          f"reads version {FORMAT_VERSION}; re-run `affixgen index`")
     if manifest.get("kind") != "snapshot" or not isinstance(manifest.get("fingerprint"), str):
         raise ValueError(f"{path}: not a snapshot manifest")
+    for key, kind in (("file_bytes", dict), ("num_docs", int), ("total_tokens", int),
+                      ("vocabulary_size", int)):
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{path}: manifest field {key!r} is missing or of the wrong type")
     for name in _DATA_FILES:
         size, actual = manifest["file_bytes"].get(name), (directory / name).stat().st_size
         if actual != size:
@@ -653,7 +638,7 @@ def read_snapshot(directory: str | Path) -> Snapshot:
         raise ValueError(f"{directory / 'positions.npy'}: position {token - doc_start[doc]} "
                          f"of document {doc} is held by {holders[token]} rows, not one")
     return Snapshot(manifest, doc_ids, terms, lengths, row_docs, tfs, positions,
-                     term_ptr, row_ptr)
+                    term_ptr, row_ptr, doc_start)
 
 
 def _read_lines(path: Path) -> list[str]:

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import CollectionIndex, CooccurrenceTable, PairCountMemo
+import numpy as np
+
+from .corpus import CollectionIndex, CooccurrenceTable
 from .morphgen import (
     FormationCandidate,
     FormationGenerator,
@@ -118,15 +121,17 @@ class AssociationModel:
         if self.cooc.total_windows <= 0:
             raise ValueError("association model needs a nonempty co-occurrence table")
 
-    def edge(self, a: str, b: str) -> float:
-        pair = self.cooc.pair_count(a, b)
-        if pair == 0:
-            return 0.0
-        if self.kind == JOINT:
-            return pair / self.cooc.total_windows
-        ua = self.cooc.unigram_window_count[a]
-        ub = self.cooc.unigram_window_count[b]
-        return max(0.0, math.log(pair * self.cooc.total_windows / (ua * ub)))
+    def edge_matrix(self, terms: Sequence[str]) -> list[list[float]]:
+        """The edge between every two of ``terms``, from one ``pair_counts`` call."""
+        counts, total = self.cooc.pair_counts(terms), self.cooc.total_windows
+        unigram = self.cooc.unigram_window_count
+        matrix = [[0.0] * len(terms) for _ in terms]
+        for a, b in np.argwhere(np.triu(counts)).tolist():
+            pair = int(counts[a, b])
+            edge = (pair / total if self.kind == JOINT else
+                    max(0.0, math.log(pair * total / (unigram[terms[a]] * unigram[terms[b]]))))
+            matrix[a][b] = matrix[b][a] = edge
+        return matrix
 
 
 def init_weights(
@@ -147,20 +152,23 @@ def _edge_lists(
     Slots are a term's dictionary candidates, then its formations. Only
     dictionary candidates read the other terms' formations, so unreliable
     formations cannot reinforce each other. Lists run in summation order:
-    other terms in turn, dictionary candidates first.
+    other terms in turn, dictionary candidates first. Every edge comes from
+    one ``edge_matrix`` call over all the query's slots.
     """
-    surfaces = [cs.dict_candidates + [f.surface for f in cs.formations] for cs in sets]
-    dict_only = [cs.dict_candidates for cs in sets]
+    surfaces = [s for cs in sets for s in cs.dict_candidates + [f.surface for f in cs.formations]]
+    matrix = assoc.edge_matrix(surfaces)
+    offsets = list(accumulate((cs.size for cs in sets), initial=0))
     edges = []
     for i, cs in enumerate(sets):
         rows = []
-        for slot, cand in enumerate(surfaces[i]):
-            targets = surfaces if slot < len(cs.dict_candidates) else dict_only
+        for slot in range(cs.size):
+            row = matrix[offsets[i] + slot]
+            whole = slot < len(cs.dict_candidates)  # formations read dictionary slots only
             rows.append([
                 (ip, b, edge)
-                for ip, reach in enumerate(targets) if ip != i
-                for b, cand2 in enumerate(reach)
-                if (edge := assoc.edge(cand, cand2))
+                for ip, other in enumerate(sets) if ip != i
+                for b in range(other.size if whole else len(other.dict_candidates))
+                if (edge := row[offsets[ip] + b])
             ])
         edges.append(rows)
     return edges
@@ -343,7 +351,6 @@ def build_candidate_sets(
     if mode == "ag":
         if generator is None:
             raise ValueError("ag mode needs a formation generator")
-        anchors = sorted({c for cs in sets for c in cs.dict_candidates})
         for cs in sets:
             pool: list[FormationCandidate] = []
             for cand in cs.dict_candidates:
@@ -356,17 +363,21 @@ def build_candidate_sets(
                     continue
                 seen.add(cand.surface)
                 formations.append(cand)
-            if generator.cfg.require_context:
-                if cooc is None:
-                    raise ValueError("context filtering needs a co-occurrence table")
-                if cooc.window_size != generator.cfg.context_window:
-                    raise ValueError(
-                        "co-occurrence window does not match the configured "
-                        f"context window ({cooc.window_size} != "
-                        f"{generator.cfg.context_window})"
-                    )
-                formations = context_filter(formations, anchors, cooc)
             cs.formations = formations
+        if generator.cfg.require_context:
+            if cooc is None:
+                raise ValueError("context filtering needs a co-occurrence table")
+            if cooc.window_size != generator.cfg.context_window:
+                raise ValueError(
+                    "co-occurrence window does not match the configured "
+                    f"context window ({cooc.window_size} != "
+                    f"{generator.cfg.context_window})"
+                )
+            anchors = sorted({c for cs in sets for c in cs.dict_candidates})
+            generated = [f for cs in sets for f in cs.formations]
+            kept = {f.surface for f in context_filter(generated, anchors, cooc)}
+            for cs in sets:
+                cs.formations = [f for f in cs.formations if f.surface in kept]
     return sets
 
 
@@ -410,13 +421,12 @@ def build_weighted_query(
 
     Every query term contributes equal mass, split among its candidates by
     the weighting method. In ``split`` mode each weighted candidate is then
-    replaced by its character n-grams, which share its weight equally. Each
-    co-occurrence pair is counted at most once per query.
+    replaced by its character n-grams, which share its weight equally. The
+    context filter and the association weighting each count the query's
+    co-occurrence pairs in one ``pair_counts`` call.
     """
     if not terms:
         raise ValueError(f"query {query_id!r} has no terms")
-    if cooc is not None:
-        cooc = PairCountMemo(cooc)  # the context filter and the weighting share it
     sets = build_candidate_sets(
         terms, dictionary, mode=mode, generator=generator, cooc=cooc, stemmer=stemmer
     )

@@ -195,14 +195,13 @@ def context_filter(
     """Keep formations that co-occur with at least one anchor term.
 
     Anchors are typically the dictionary translations of the whole query.
-    Candidate order is preserved.
+    Candidate order is preserved. All pairs come from one ``pair_counts``
+    call over the candidates' surfaces and the anchors.
     """
-    anchor_list = list(anchors)
-    return [
-        c
-        for c in candidates
-        if any(cooc.pair_count(c.surface, a) > 0 for a in anchor_list)
-    ]
+    surfaces = [c.surface for c in candidates]
+    counts = cooc.pair_counts(surfaces + list(anchors))
+    linked = counts[: len(surfaces), len(surfaces) :].any(axis=1)
+    return [c for c, keep in zip(candidates, linked.tolist()) if keep]
 
 
 def ngram_split(term: str, n: int = 5) -> list[str]:

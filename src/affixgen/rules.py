@@ -373,6 +373,9 @@ def load_rules(path: str | Path) -> RuleTable:
                 raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
             try:
                 if header:
+                    if len(fields) != 2 or k_max or int(fields[1]) < 1:
+                        raise ValueError(f"expected one #k_max<TAB>integer header of 1 "
+                                         f"or more: {line!r}")
                     k_max = int(fields[1])
                     continue
                 count, prob = int(fields[2]), float(fields[3])

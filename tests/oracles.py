@@ -2,10 +2,9 @@
 
 Everything here is written directly from definitions, trading speed for
 obviousness, so the optimized library code has something honest to be
-checked against. Two helpers are not oracles but entry points into shipped
-code that the library does not export: ``indel_distance`` runs the banded
-kernel with an unbounded band, and ``itd_step`` one raw ITD update over the
-shipped edge lists.
+checked against. One helper is not an oracle but an entry point into
+shipped code that the library does not export: ``indel_distance`` runs the
+banded kernel with an unbounded band.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from collections import Counter
 import numpy as np
 
 from affixgen.corpus import UNKNOWN_TAG
-from affixgen.disambig import _edge_lists, _scores
 from affixgen.morphgen import FormationCandidate
 from affixgen.rules import (
     BEGIN,
@@ -468,17 +466,31 @@ def weights_2g_bruteforce(sets, cooc):
 
 
 def itd_step(sets, assoc):
-    """One raw ITD update over the shipped edge lists, before normalization.
+    """One raw ITD update, before normalization, straight from the equations.
 
-    Each candidate keeps its weight and adds, over the edges it reads, the
-    edge times the other candidate's weight. Returns the per-term dictionary
-    and formation rows.
+    Each candidate keeps its weight and adds ``assoc.edge`` with each other
+    term's candidates times their weights: dictionary candidates read the
+    other terms' dictionary candidates and formations, formations read
+    dictionary candidates only. Returns the per-term dictionary and
+    formation rows.
     """
-    weights = [cs.dict_weights + cs.formation_weights for cs in sets]
-    raw = _scores(_edge_lists(sets, assoc), weights, weights)
+
+    def score(i, cand, weight, with_formations):
+        for ip, other in enumerate(sets):
+            if ip == i:
+                continue
+            for cand2, weight2 in zip(other.dict_candidates, other.dict_weights):
+                weight += assoc.edge(cand, cand2) * weight2
+            if with_formations:
+                for form, weight2 in zip(other.formations, other.formation_weights):
+                    weight += assoc.edge(cand, form.surface) * weight2
+        return weight
+
     return (
-        [row[: len(cs.dict_candidates)] for cs, row in zip(sets, raw)],
-        [row[len(cs.dict_candidates) :] for cs, row in zip(sets, raw)],
+        [[score(i, cand, w, True) for cand, w in zip(cs.dict_candidates, cs.dict_weights)]
+         for i, cs in enumerate(sets)],
+        [[score(i, f.surface, w, False) for f, w in zip(cs.formations, cs.formation_weights)]
+         for i, cs in enumerate(sets)],
     )
 
 

@@ -5,9 +5,11 @@ oracle, a hand-computed value, or a constructed corpus with known ground
 truth. The conftest hook prints one summary line per criterion.
 """
 
+import functools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -168,6 +170,9 @@ class _StubAssociation:
     def edge(self, a, b):
         return self.edges.get((a, b), 0.0)
 
+    def edge_matrix(self, terms):
+        return [[self.edge(a, b) for b in terms] for a in terms]
+
 
 class _ConstantAssociation:
     def __init__(self, value):
@@ -175,6 +180,9 @@ class _ConstantAssociation:
 
     def edge(self, a, b):
         return self.value
+
+    def edge_matrix(self, terms):
+        return [[self.edge(a, b) for b in terms] for a in terms]
 
 
 def _random_dense_instance(rng, terms=5, cands=5):
@@ -313,7 +321,11 @@ def test_iterative_weighting_matches_bruteforce():
         got = itd_weights(
             init_weights(sets), AssociationModel(table, "mi"), 50, 1e-6
         )
-        expected, iterations = weights_itd_bruteforce(sets, table, 50, 1e-6)
+        # The oracle reads every pair's count at every step; read each from the table once.
+        counts = SimpleNamespace(pair_count=functools.cache(table.pair_count),
+                                 unigram_window_count=table.unigram_window_count,
+                                 total_windows=table.total_windows)
+        expected, iterations = weights_itd_bruteforce(sets, counts, 50, 1e-6)
         assert got.iterations == iterations
         for cs, (dict_weights, form_weights) in zip(got.sets, expected):
             assert cs.dict_weights == dict_weights

@@ -162,14 +162,14 @@ class TestCliPipeline:
         loaded_index, loaded_cooc = load_index(snap), load_cooccurrence(snap, 2)
         assert loaded_index.postings == postings
         assert loaded_index.doc_len == doc_len
-        assert loaded_cooc.doc_len == [3, 0, 4]
-        assert loaded_cooc.positions == {
-            "kala": {0: [0], 2: [1]}, "talo": {0: [1], 2: [2]},
-            "kalat": {0: [2], 2: [3]}, "talot": {2: [0]}}
-        _, unigram, total = window_cooccurrence_bruteforce(
+        assert loaded_cooc.snapshot.lengths.tolist() == [3, 0, 4]
+        pairs, unigram, total = window_cooccurrence_bruteforce(
             [tokens for _, tokens in token_docs], 2)
         assert loaded_cooc.unigram_window_count == unigram
         assert loaded_cooc.total_windows == total == 5
+        terms = ["kala", "kalat", "talo", "talot"]
+        assert loaded_cooc.pair_counts(terms).tolist() == [
+            [0 if a == b else pairs[a, b] + pairs[b, a] for b in terms] for a in terms]
 
     def test_mined_rules_file(self, pipeline):
         text = Path(pipeline.rules_file).read_text(encoding="utf-8")

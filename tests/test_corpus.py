@@ -16,9 +16,7 @@ from affixgen import corpus
 from affixgen.config import ExperimentConfig
 from affixgen.corpus import (
     FORMAT_VERSION,
-    CooccurrenceTable,
     Document,
-    PairCountMemo,
     StopwordList,
     load_cooccurrence,
     load_index,
@@ -166,39 +164,23 @@ class TestCooccurrence:
         table = cooc_of([Document("d", "a b a b")], 4)
         assert table.pair_count("a", "b") == 1
 
-    def test_pair_count_memo_matches_the_table(self):
-        rng = random.Random(23)
-        table = cooc_of(
-            [[rng.choice("abcdefg") for _ in range(rng.randint(0, 12))] for _ in range(30)], 4)
-        memo = PairCountMemo(table)
-        for a in "abcdefgz":
-            for b in "abcdefgz":
-                assert memo.pair_count(a, b) == table.pair_count(a, b) == table.pair_count(b, a)
-        assert memo.positions is table.positions
-        assert memo.unigram_window_count is table.unigram_window_count
-        assert (memo.window_size, memo.total_windows, memo.doc_len) == (
-            table.window_size, table.total_windows, table.doc_len)
-        assert not hasattr(table, "_counts")
-
-    def test_pair_count_memo_counts_each_unordered_pair_once(self):
-        calls = []
-
-        class CountingTable(CooccurrenceTable):
-            def pair_count(self, a, b):
-                calls.append((a, b))
-                return super().pair_count(a, b)
-
-        table = CountingTable(3)
-        vars(table).update(vars(cooc_of([["a", "b", "c", "d"]], 3)))
-        memo = PairCountMemo(table)
-        assert [memo.pair_count(*p) for p in ("ab", "ba", "ab", "cb", "bc")] == [1, 1, 1, 2, 2]
-        assert calls == [("a", "b"), ("b", "c")]
-        assert PairCountMemo(table).pair_count("b", "a") == 1  # a new memo starts empty
-        assert calls[-1] == ("a", "b")
+    def test_pair_counts_hand_values(self):
+        # Several query terms in one document, a term listed twice and one
+        # outside the vocabulary; a term never pairs with itself.
+        table = cooc_of([Document("d", "a b c a"), Document("e", "b")], 3)
+        assert table.pair_counts(["a", "b", "c", "z", "a"]).tolist() == [
+            [0, 2, 2, 0, 0],
+            [2, 0, 2, 0, 2],
+            [2, 2, 0, 0, 2],
+            [0, 0, 0, 0, 0],
+            [0, 2, 2, 0, 0],
+        ]
+        assert table.pair_counts([]).shape == (0, 0)
+        assert table.pair_counts(["z", "y"]).tolist() == [[0, 0], [0, 0]]
 
     def test_invalid_window_size(self):
         with pytest.raises(ValueError, match="window_size"):
-            CooccurrenceTable(0)
+            cooc_of([["a", "b"]], 0)
 
     def test_matches_bruteforce_recount(self):
         rng = random.Random(7)
@@ -223,8 +205,9 @@ class TestCooccurrence:
 
     def test_window_counts_match_bruteforce_at_windows_1_3_10(self):
         # Empty documents, documents shorter than the window, and a term that
-        # opens and one that closes every non-empty document.
-        rng = random.Random(31)
+        # opens and one that closes every non-empty document. The pair counts
+        # are asked for terms outside the vocabulary and a term listed twice.
+        rng, pick = random.Random(31), random.Random(41)
         for _ in range(40):
             token_docs = []
             for _ in range(rng.randint(1, 8)):
@@ -233,30 +216,18 @@ class TestCooccurrence:
                 if n:
                     tokens[0], tokens[-1] = "first", "last"
                 token_docs.append(tokens)
+            terms = pick.sample([*"abcdefxy", "first", "last"], pick.randint(0, 10))
+            terms += pick.choices(terms, k=2) if terms else []
             for window in (1, 3, 10):
                 table = cooc_of(token_docs, window)
-                _, unigram, total = window_cooccurrence_bruteforce(token_docs, window)
+                pairs, unigram, total = window_cooccurrence_bruteforce(token_docs, window)
                 assert table.total_windows == total
                 assert table.unigram_window_count == unigram
                 assert all(type(c) is int for c in table.unigram_window_count.values())
-
-    def test_positions_view_matches_grouped_dict(self):
-        rng = random.Random(37)
-        token_docs = [rng.choices("abcdefg", k=rng.randint(0, 20)) for _ in range(25)]
-        grouped = {}
-        for doc, tokens in enumerate(token_docs):
-            for p, term in enumerate(tokens):
-                grouped.setdefault(term, {}).setdefault(doc, []).append(p)
-        table = cooc_of(token_docs, 4)
-        assert table.positions == grouped
-        assert list(table.positions) == sorted(grouped) and len(table.positions) == len(grouped)
-        assert table.positions["a"] is table.positions["a"]  # built once, then kept
-        assert table.positions.get("z") is None and "z" not in table.positions
-        with pytest.raises(KeyError):
-            table.positions["z"]
-        with pytest.raises(TypeError):
-            table.positions["a"] = {}
-        assert PairCountMemo(table).positions is table.positions
+                counts = table.pair_counts(terms)
+                assert counts.dtype == np.int64
+                assert counts.tolist() == [
+                    [0 if a == b else pairs[min(a, b), max(a, b)] for b in terms] for a in terms]
 
 
 class TestPosLexicon:
@@ -447,10 +418,8 @@ class TestSnapshots:
         loaded = load_cooccurrence(tmp_path, 3)
         assert loaded.window_size == 3
         # Documents are numbered by their line in doc_ids.txt: d1, d0, d2.
-        assert loaded.positions == {
-            "a": {0: [0, 6]}, "b": {0: [1], 2: [0, 2]}, "c": {0: [2], 2: [1]},
-            "d": {0: [3]}, "e": {0: [4]}, "f": {0: [5]}}
-        assert loaded.doc_len == [7, 0, 3]
+        assert loaded.snapshot.lengths.tolist() == [7, 0, 3]
+        assert loaded.snapshot.terms == list("abcdef")
         assert loaded.total_windows == 6
         assert_counts_match_bruteforce(loaded, self.DOCS, "abcdefg")
 
@@ -485,9 +454,10 @@ class TestSnapshots:
 
         monkeypatch.setattr(corpus, "np", NoReduceat())
         table = load_cooccurrence(tmp_path, 3)
-        assert (table.total_windows, table.unigram_window_count, table.doc_len) == (
-            0, Counter(), [0, 0])
-        assert table.positions == {} and table.pair_count("a", "b") == 0
+        assert (table.total_windows, table.unigram_window_count) == (0, Counter())
+        assert table.snapshot.lengths.tolist() == [0, 0]
+        assert table.pair_counts(["a", "b"]).tolist() == [[0, 0], [0, 0]]
+        assert table.pair_count("a", "b") == 0
 
     def test_duplicate_document_id_writes_nothing(self, tmp_path):
         docs = self.DOCS + [Document("d0", "a b")]
@@ -529,7 +499,7 @@ class TestSnapshots:
         for directory in (tmp_path / "v2", tmp_path / "v4"):
             save_snapshot(self.DOCS, directory)
             assert {p.name for p in directory.iterdir()} == SNAPSHOT_FILES
-            assert load_cooccurrence(directory).doc_len == [7, 0, 3]
+            assert load_cooccurrence(directory).snapshot.lengths.tolist() == [7, 0, 3]
 
     @pytest.mark.parametrize(
         "key, load",
@@ -550,6 +520,26 @@ class TestSnapshots:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=f"{tmp_path}.*{key} mismatch"):
             load(tmp_path)
+
+    @pytest.mark.parametrize("key", ["file_bytes", "num_docs", "total_tokens",
+                                     "vocabulary_size"])
+    def test_manifest_field_missing_or_mistyped(self, tmp_path, key):
+        save_snapshot(self.DOCS, tmp_path)
+        path = tmp_path / "index.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for value in (None, [1, 2], "3"):
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            reject(tmp_path, "index.json", f"manifest field {key!r} is missing or of the "
+                                           f"wrong type")
+
+    def test_manifest_not_an_object(self, tmp_path):
+        save_snapshot(self.DOCS, tmp_path)
+        (tmp_path / "index.json").write_text("[1, 2]", encoding="utf-8")
+        reject(tmp_path, "index.json", "not a snapshot manifest")
 
     def test_manifest_mismatch_detected(self, tmp_path):
         save_snapshot([Document("d1", "a b")], tmp_path)

@@ -54,6 +54,9 @@ class StubAssociation:
     def edge(self, a, b):
         return self.edges.get((a, b), 0.0)
 
+    def edge_matrix(self, terms):
+        return [[self.edge(a, b) for b in terms] for a in terms]
+
 
 class ConstantAssociation:
     def __init__(self, value):
@@ -61,6 +64,9 @@ class ConstantAssociation:
 
     def edge(self, a, b):
         return self.value
+
+    def edge_matrix(self, terms):
+        return [[self.edge(a, b) for b in terms] for a in terms]
 
 
 class TestLoaders:
@@ -97,32 +103,31 @@ class TestAssociationModel:
     def test_joint_probability(self):
         table = cooc_of([["a", "b"]] * 2 + [["p", "q"]] * 8, 2)
         model = AssociationModel(table, JOINT)
-        assert model.edge("a", "b") == pytest.approx(0.2)
-        assert model.edge("b", "a") == pytest.approx(0.2)
-        assert model.edge("a", "q") == 0.0
+        assert model.edge_matrix(["a", "b", "q"]) == [
+            [0.0, pytest.approx(0.2), 0.0], [pytest.approx(0.2), 0.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_mutual_information_zero_at_independence(self):
         table = cooc_of(
             [["a", "b"]] * 2 + [["a", "x"]] * 2 + [["b", "y"]] * 3 + [["p", "q"]] * 3, 2)
         model = AssociationModel(table, MUTUAL_INFORMATION)
         # pair 2, windows 10, marginals 4 and 5: ln(2*10 / (4*5)) = 0.
-        assert model.edge("a", "b") == 0.0
+        assert model.edge_matrix(["a", "b"]) == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_mutual_information_positive(self):
         table = cooc_of([["c", "d"]] * 4 + [["p", "q"]] * 6, 2)
         model = AssociationModel(table, MUTUAL_INFORMATION)
-        assert model.edge("c", "d") == pytest.approx(math.log(2.5))
+        assert model.edge_matrix(["c", "d"])[1][0] == pytest.approx(math.log(2.5))
 
     def test_mutual_information_clamped_at_zero(self):
         table = cooc_of(
             [["a", "b"]] + [["a", "x"]] * 4 + [["b", "y"]] * 3 + [["p", "q"]] * 2, 2)
         model = AssociationModel(table, MUTUAL_INFORMATION)
         # ln(1*10 / (5*4)) < 0 clamps to zero.
-        assert model.edge("a", "b") == 0.0
+        assert model.edge_matrix(["a", "b"]) == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_self_association_is_zero(self):
         model = AssociationModel(cooc_of([["a", "a", "b"]], 2), JOINT)
-        assert model.edge("a", "a") == 0.0
+        assert model.edge_matrix(["a", "a"]) == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_bad_kind_and_empty_table(self):
         table = cooc_of([["a", "b"]], 2)
@@ -284,9 +289,9 @@ class TestIterativeWeighting:
         calls = []
 
         class CountingAssociation(StubAssociation):
-            def edge(self, a, b):
-                calls.append((a, b))
-                return super().edge(a, b)
+            def edge_matrix(self, terms):
+                calls.append(list(terms))
+                return super().edge_matrix(terms)
 
         assoc = CountingAssociation(
             {("a1", "b1"): 1.0, ("a2", "b2"): 0.5, ("fa", "b1"): 2.0,
@@ -301,10 +306,8 @@ class TestIterativeWeighting:
         )
         result = itd_weights(sets, assoc, max_iters=50)
         assert result.iterations > 1
-        # Dictionary candidates are scored against all other candidates,
-        # formations against the other terms' dictionary candidates only.
-        scored = (2 * 4 + 1 * 3) + 2 * 5 + (1 * 5 + 1 * 4)
-        assert len(calls) == len(set(calls)) == scored
+        # One matrix over every slot, dictionary candidates before formations.
+        assert calls == [["a1", "a2", "fa", "b1", "b2", "c1", "fc"]]
 
     def test_parameter_validation(self):
         sets = init_weights([TranslationCandidateSet("t1", ["a"])])
@@ -530,35 +533,38 @@ class TestWeightedQueries:
 
     def test_pair_counts_shared_within_a_query(self, monkeypatch):
         calls = []
-        count = CooccurrenceTable.pair_count
+        count = CooccurrenceTable.pair_counts
 
-        def counting(self, a, b):
-            calls.append(frozenset((a, b)))
-            return count(self, a, b)
+        def counting(self, terms):
+            calls.append(list(terms))
+            return count(self, terms)
 
         rng = random.Random(43)
         words = ["gato", "gatos", "perro", "perros", "luna", "lunas", "sol"]
-        table = cooc_of([[rng.choice(words) for _ in range(6)] for _ in range(20)], 4)
+        docs = [[rng.choice(words) for _ in range(6)] for _ in range(20)]
+        index, table = index_of(docs), cooc_of(docs, 4)
         cfg = NoiseFilterConfig(context_window=4, min_len={1: 1, 2: 1, 3: 1})
         gen = StubGenerator({"gato": [formation("gatos", "gato")],
                              "perro": [formation("perros", "perro")],
                              "luna": [formation("lunas", "luna")]}, cfg)
         d = BilingualDictionary({"cat": ["gato", "sol"], "dog": ["perro"], "moon": ["luna"]})
 
-        def query():
-            return build_weighted_query("7", ["cat", "dog", "moon"], d, mode="ag",
-                                        weighting="itd", generator=gen, cooc=table)
-
-        monkeypatch.setattr(CooccurrenceTable, "pair_count", counting)
-        with pytest.MonkeyPatch.context() as plain:
-            plain.setattr(disambig, "PairCountMemo", lambda t: t)
-            want = query()
-        assert len(calls) > len(set(calls))  # without the memo pairs repeat
-        assert any(qt.provenance == PROV_FORMATION for qt in want.terms)
-        for _ in range(2):  # each query starts from an empty memo
+        def query(mode, weighting):
             calls.clear()
-            assert query() == want
-            assert len(calls) == len(set(calls)) > 0
+            return build_weighted_query("7", ["cat", "dog", "moon"], d, mode=mode,
+                                        weighting=weighting, index=index, cooc=table,
+                                        generator=gen)
+
+        monkeypatch.setattr(CooccurrenceTable, "pair_counts", counting)
+        assert any(qt.provenance == PROV_FORMATION for qt in query("ag", "itd").terms)
+        # The context filter over every formation and the anchors, then the weighting.
+        assert calls[0] == ["gatos", "perros", "lunas", "gato", "luna", "perro", "sol"]
+        assert len(calls) == 2
+        for mode, weighting, made in [("ag", "2g", 2), ("ag", "unif", 1), ("none", "itd", 1),
+                                      ("none", "2g", 1), ("none", "top1", 0),
+                                      ("none", "unif", 0), ("none", "coll", 0)]:
+            query(mode, weighting)
+            assert len(calls) == made, (mode, weighting)
 
     def test_distribution_sums_to_one(self):
         rng = random.Random(41)

@@ -378,6 +378,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{path}: line \\d: expected one #snapshot"):
             load_rules(path)
 
+    @pytest.mark.parametrize("header, lineno", [("#k_max\t3\n#k_max\t2", 2),
+                                                ("#k_max\t3\t9", 1),
+                                                ("#k_max\t-2", 1),
+                                                ("#k_max\t0", 1)],
+                             ids=["repeated", "extra-field", "negative", "zero"])
+    def test_malformed_k_max_header_rejected(self, tmp_path, header, lineno):
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"{header}\ni:e:s\tUNK\t1\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: line {lineno}: expected one "
+                                             f"#k_max<TAB>integer header of 1 or more"):
+            load_rules(path)
+
     def test_ranking_is_deterministic(self, tmp_path):
         table = mine_rules({"cat", "cats", "mat", "mats"})
         ranked = table.ranked()
