@@ -44,9 +44,10 @@ from .retrieval import (
     load_qrels,
     load_run,
     paired_ttest,
+    rank_queries,
     run_queries,
     save_eval,
-    save_run,
+    write_run,
 )
 from .rules import MedConfig, RuleTable, load_rules, mine_rules, save_rules
 
@@ -320,9 +321,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     _require(cfg, "index_dir")
     index = corpus_mod.load_index(cfg.index_dir)
     queries = load_weighted_queries(args.queries)
-    run = run_queries(queries, index, _retrieval_config(cfg), cfg.run_tag, prf=cfg.prf)
-    save_run(run, args.out)
-    print(f"ranked {len(run.rankings)} queries into {args.out}")
+    rankings = rank_queries(queries, index, _retrieval_config(cfg), prf=cfg.prf)
+    written = write_run(rankings, cfg.run_tag, args.out)
+    print(f"ranked {written} queries into {args.out}")
     return 0
 
 

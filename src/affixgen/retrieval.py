@@ -18,10 +18,11 @@ section 6.4) with ``math.lgamma``, so the module needs only numpy.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,11 +69,17 @@ def score_kl(
 
     Query terms absent from the collection are skipped. The sum decomposes
     into a base, ``const - sum_t p(t|q) * log(|d| + mu)``, computed once per
-    distinct length, plus one correction per posting of each query term,
-    added in query order. Logarithms are taken with ``math.log`` over the
-    distinct lengths and term frequencies, so scores do not depend on
-    numpy's vectorized ``log``. The ranking orders by descending score, ties
-    by ascending document id, and is cut at ``top_k``.
+    distinct length, plus one correction ``w * (log(tf + b) - log b)`` per
+    posting of each query term, with ``b = mu * p(t|C)``. Every query term's
+    postings are gathered in one pass, concatenated in query order, and
+    added with one ``np.add.at``, which adds them in that order, so each
+    document's score is the same sequence of float additions as one term
+    at a time. Logarithms are taken with ``math.log`` over the distinct
+    lengths and over ``tf + b`` for tf up to each term's largest, so scores
+    do not depend on numpy's vectorized ``log``. The ranking orders by
+    descending score, ties by ascending document id, and is cut at
+    ``top_k``: ``np.partition`` finds the top_k-th score, and only the
+    documents that reach it, every tie at the cut among them, are sorted.
     """
     cfg = cfg or RetrievalConfig()
     if index.num_docs == 0:
@@ -81,63 +88,87 @@ def score_kl(
     if not dist:
         raise ValueError(f"query {query.query_id!r} is empty")
     mu = cfg.mu
-    terms = [(t, w) for t, w in dist.items() if w > 0.0 and t in index.term_id]
+    terms = [(index.term_id[t], w) for t, w in dist.items() if w > 0.0 and t in index.term_id]
+    ids = np.array([t for t, _ in terms], dtype=np.int64)
+    weights = [w for _, w in terms]
+    baselines = [mu * (cf / index.total_tokens) for cf in index.term_cf[ids].tolist()]
+    log_baselines = [math.log(b) for b in baselines]
     const = 0.0
     weight_sum = 0.0
-    for t, w in terms:
-        const += w * math.log(mu * index.p_collection(t))
+    for w, log_b in zip(weights, log_baselines):
+        const += w * log_b
         weight_sum += w
     length_logs = np.array([math.log(n + mu) for n in index.length_values.tolist()])
     scores = (const - weight_sum * length_logs)[index.length_of]
-    for t, w in terms:
-        baseline = mu * index.p_collection(t)
-        log_baseline = math.log(baseline)
-        t_id = index.term_id[t]
-        lo, hi = index.term_ptr[t_id], index.term_ptr[t_id + 1]
-        tfs = index.term_tfs[lo:hi]
-        # log(tf + baseline) for every tf from 0 to the largest, then looked up.
-        tf_logs = np.array([math.log(tf + baseline) for tf in range(int(tfs.max()) + 1)])
-        scores[index.term_docs[lo:hi]] += w * (tf_logs[tfs] - log_baseline)
-    ranked = np.lexsort((index.id_rank, -scores))[: cfg.top_k]
+    if terms:
+        docs, tfs, starts, sizes = _gather(index.term_ptr, ids, index.term_docs, index.term_tfs)
+        # The correction for every tf from 0 to each term's largest, one table.
+        table, offsets = [], []
+        tops = np.maximum.reduceat(tfs, starts).tolist()
+        for w, b, log_b, top in zip(weights, baselines, log_baselines, tops):
+            offsets.append(len(table))
+            table.extend([w * (math.log(tf + b) - log_b) for tf in range(top + 1)])
+        tfs += np.repeat(np.array(offsets, dtype=tfs.dtype), sizes)  # now table indices
+        np.add.at(scores, docs, np.array(table)[tfs])
+    neg = -scores
+    if cfg.top_k < len(neg):
+        pool = np.flatnonzero(neg <= np.partition(neg, cfg.top_k - 1)[cfg.top_k - 1])
+    else:
+        pool = np.arange(len(neg))
+    ranked = pool[np.lexsort((index.id_rank[pool], neg[pool]))][: cfg.top_k]
     return list(zip(map(index.doc_ids.__getitem__, ranked.tolist()), scores[ranked].tolist()))
 
 
+def _gather(ptr: np.ndarray, keys: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column's rows ``ptr[k]:ptr[k + 1]`` of every key, concatenated in key order.
+
+    Returns the gathered columns, then each key's start within them and its
+    row count.
+    """
+    lo = ptr[keys]
+    sizes = ptr[keys + 1] - lo
+    starts = np.cumsum(sizes) - sizes
+    rows = np.repeat(lo - starts, sizes)
+    rows += np.arange(len(rows))
+    return (*(column[rows] for column in columns), starts, sizes)
+
+
 def feedback_model(
-    counts: dict[str, int], index: CollectionIndex, noise: float
-) -> dict[str, float]:
+    ids: np.ndarray, counts: np.ndarray, index: CollectionIndex, noise: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact maximum-likelihood feedback model of a fixed-noise mixture.
 
-    Each feedback-document token is explained either by the feedback model
-    (weight ``1 - noise``) or by the fixed collection model (weight
-    ``noise``). The maximizer has a closed form (Zhang & Xu, IPM 44(3),
-    2008): with ``r = noise / (1 - noise)`` and ``q_t = p(t|C)``,
+    ``ids`` are distinct term ids, ascending, and ``counts`` their token
+    counts in the feedback documents. Each token is explained either by the
+    feedback model (weight ``1 - noise``) or by the fixed collection model
+    (weight ``noise``). The maximizer has a closed form (Zhang & Xu, IPM
+    44(3), 2008): with ``r = noise / (1 - noise)`` and ``q_t = p(t|C)``,
     ``p_t = c_t / nu - r * q_t``, where ``nu = sum(c) / (1 + r * sum(q))``
     over the support, the longest run of terms by descending ``c_t / q_t``
-    whose ``p_t`` are all positive. Only the support is returned. With
-    ``noise >= 1`` the likelihood does not depend on the feedback model, and
-    the uniform distribution over the counted terms is returned.
+    (equal ratios by ascending id, so by ascending term) whose ``p_t`` are
+    all positive. The running sums are sequential ``np.cumsum``s, the float
+    additions of a loop over that order. Returns the support's ids, in that
+    order, and their probabilities. With ``noise >= 1`` the likelihood does
+    not depend on the feedback model, and the uniform distribution over the
+    counted terms is returned.
     """
-    if not any(counts.values()):
+    if not counts.any():
         raise ValueError("no feedback term counts")
     if noise >= 1.0:
-        return {t: 1.0 / len(counts) for t in sorted(counts)}
+        return ids, np.full(len(ids), 1.0 / len(ids))
     r = noise / (1.0 - noise)
-    q = {t: index.p_collection(t) for t in counts}
-    if min(q.values()) <= 0.0:
+    q = index.term_cf[ids] / index.total_tokens
+    if (q <= 0.0).any():
         raise ValueError("feedback terms must occur in the collection")
-    order = sorted(counts, key=lambda t: (-counts[t] / q[t], t))
-    c_sum = q_sum = 0.0
-    kept, nu = 0, 1.0
-    for t in order:
-        c_sum += counts[t]
-        q_sum += q[t]
-        nu_here = c_sum / (1.0 + r * q_sum)
-        # Once a prefix holds a term with p_t <= 0, so does every longer one.
-        if counts[t] / nu_here - r * q[t] <= 0.0:
-            break
-        kept, nu = kept + 1, nu_here
-    probs = {t: counts[t] / nu - r * q[t] for t in order[:kept]}
-    return {t: p for t, p in probs.items() if p > 0.0}
+    order = np.lexsort((ids, -(counts / q)))
+    ids, counts, q = ids[order], counts[order], q[order]
+    nu = np.cumsum(counts, dtype=np.float64) / (1.0 + r * np.cumsum(q))
+    # Once a prefix holds a term with p_t <= 0, so does every longer one.
+    fails = counts / nu - r * q <= 0.0
+    kept = int(np.argmax(fails)) if fails.any() else len(ids)
+    probs = counts[:kept] / nu[kept - 1] - r * q[:kept]
+    positive = probs > 0.0
+    return ids[:kept][positive], probs[positive]
 
 
 def prf_mixture(
@@ -148,20 +179,23 @@ def prf_mixture(
 ) -> WeightedQuery:
     """Expand a query from its top-ranked documents.
 
-    The tokens of the first ``prf_docs`` documents are counted from their
-    forward slices, and the feedback distribution is fitted to them in
-    closed form (``feedback_model``, Zhang & Xu 2008). It is truncated to
-    the strongest ``prf_terms`` terms, renormalized, and interpolated with
-    the original query weights by ``prf_lambda``. With a zero interpolation
-    weight the query is returned unchanged.
+    The tokens of the first ``prf_docs`` documents are counted by term id
+    from their forward slices, and the feedback distribution is fitted to
+    them in closed form (``feedback_model``, Zhang & Xu 2008). It is
+    truncated to the strongest ``prf_terms`` terms, equal probabilities by
+    ascending id, and only those ids are turned back into terms. The
+    truncated model is renormalized and interpolated with the original
+    query weights by ``prf_lambda``. With a zero interpolation weight the
+    query is returned unchanged.
     """
     if cfg.prf_lambda == 0.0:
         return query
-    counts = _feedback_counts(ranking[: cfg.prf_docs], index)
-    if not counts:
+    ids, counts = _feedback_counts(ranking[: cfg.prf_docs], index)
+    if not len(ids):
         return query
-    probs = feedback_model(counts, index, cfg.prf_noise)
-    strongest = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.prf_terms]
+    ids, probs = feedback_model(ids, counts, index, cfg.prf_noise)
+    top = np.lexsort((ids, -probs))[: cfg.prf_terms]
+    strongest = list(zip(map(index.terms.__getitem__, ids[top].tolist()), probs[top].tolist()))
     total = sum(p for _, p in strongest)
     feedback = {t: p / total for t, p in strongest}
 
@@ -187,23 +221,22 @@ def prf_mixture(
 
 def _feedback_counts(
     ranking: Sequence[tuple[str, float]], index: CollectionIndex
-) -> dict[str, int]:
-    """Tokens per term in the ranked documents, terms ascending.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens per term in the ranked documents: term ids ascending, and counts.
 
-    One ``bincount`` over the documents' (term id, tf) forward slices; a
-    document ranked twice counts once, and an id the index does not hold
-    counts nothing.
+    One ``bincount`` over the documents' (term id, tf) forward slices,
+    gathered in one pass; a document ranked twice counts once, and an id the
+    index does not hold counts nothing.
     """
     docs = {index.doc_number.get(doc_id) for doc_id, _ in ranking}
     docs.discard(None)
     if not docs:
-        return {}
-    slices = [slice(index.doc_ptr[d], index.doc_ptr[d + 1]) for d in docs]
-    tallies = np.bincount(np.concatenate([index.doc_terms[s] for s in slices]),
-                          weights=np.concatenate([index.doc_tfs[s] for s in slices]))
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    terms, tfs, _, _ = _gather(index.doc_ptr, np.array(sorted(docs), dtype=np.int64),
+                               index.doc_terms, index.doc_tfs)
+    tallies = np.bincount(terms, weights=tfs)
     counted = np.flatnonzero(tallies)
-    return dict(zip(map(index.terms.__getitem__, counted.tolist()),
-                    tallies[counted].astype(np.int64).tolist()))
+    return counted, tallies[counted].astype(np.int64)
 
 
 @dataclass
@@ -214,6 +247,27 @@ class RunFile:
     rankings: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
 
 
+def rank_queries(
+    queries: Iterable[WeightedQuery],
+    index: CollectionIndex,
+    cfg: RetrievalConfig | None = None,
+    prf: bool = False,
+) -> Iterator[tuple[str, list[tuple[str, float]]]]:
+    """Rank each query as it is reached, optionally with one round of feedback.
+
+    Yields ``(query id, ranking)``. The feedback pass ranks only the
+    ``prf_docs`` documents that feedback reads, whatever ``top_k``, which
+    cuts the final ranking.
+    """
+    cfg = cfg or RetrievalConfig()
+    feedback_cfg = replace(cfg, top_k=cfg.prf_docs)
+    for query in queries:
+        if prf:
+            feedback = score_kl(query, index, feedback_cfg)
+            query = prf_mixture(feedback, index, cfg, query)
+        yield query.query_id, score_kl(query, index, cfg)
+
+
 def run_queries(
     queries: Iterable[WeightedQuery],
     index: CollectionIndex,
@@ -221,36 +275,46 @@ def run_queries(
     run_tag: str = "affixgen",
     prf: bool = False,
 ) -> RunFile:
-    """Score every query, optionally with one round of feedback.
+    """Every ranking of ``rank_queries``, held in one run."""
+    return RunFile(run_tag, dict(rank_queries(queries, index, cfg, prf)))
 
-    The feedback pass ranks at least ``prf_docs`` documents; ``top_k`` cuts
-    only the final ranking.
+
+def write_run(
+    rankings: Iterable[tuple[str, Sequence[tuple[str, float]]]], run_tag: str,
+    path: str | Path,
+) -> int:
+    """Write the standard six-column ranked-run format, one ranking at a time.
+
+    Each ranking is written as soon as it arrives, to a temporary file
+    beside ``path`` that replaces ``path`` once every ranking is written,
+    so memory holds one ranking however many there are. Raises
+    ``ValueError`` for an empty tag or id or one holding whitespace, which
+    ``load_run`` could not read back; then, as on any other error, the
+    temporary file is removed and ``path`` is left as it was. Returns the
+    number of rankings written.
     """
-    cfg = cfg or RetrievalConfig()
-    first_cfg = replace(cfg, top_k=max(cfg.top_k, cfg.prf_docs)) if prf else cfg
-    run = RunFile(run_tag)
-    for query in queries:
-        ranking = score_kl(query, index, first_cfg)
-        if prf:
-            ranking = score_kl(prf_mixture(ranking, index, cfg, query), index, cfg)
-        run.rankings[query.query_id] = ranking
-    return run
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    written = 0
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            for qid, ranking in rankings:
+                for name in (run_tag, qid, *(doc_id for doc_id, _ in ranking)):
+                    if name.split() != [name]:
+                        raise ValueError(f"run file field {name!r} is empty or holds whitespace")
+                for rank, (doc_id, score) in enumerate(ranking, 1):
+                    handle.write(f"{qid} Q0 {doc_id} {rank} {score!r} {run_tag}\n")
+                written += 1
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return written
 
 
 def save_run(run: RunFile, path: str | Path) -> None:
-    """Write the standard six-column ranked-run format.
-
-    Raises ``ValueError``, before creating the file, for an empty tag or id
-    or one holding whitespace, which ``load_run`` could not read back.
-    """
-    for qid, ranking in run.rankings.items():
-        for name in (run.run_tag, qid, *(doc_id for doc_id, _ in ranking)):
-            if name.split() != [name]:
-                raise ValueError(f"run file field {name!r} is empty or holds whitespace")
-    with open(path, "w", encoding="utf-8") as handle:
-        for qid, ranking in run.rankings.items():
-            for rank, (doc_id, score) in enumerate(ranking, 1):
-                handle.write(f"{qid} Q0 {doc_id} {rank} {score!r} {run.run_tag}\n")
+    """Write a held run with ``write_run``."""
+    write_run(run.rankings.items(), run.run_tag, path)
 
 
 def load_run(path: str | Path) -> RunFile:

@@ -342,6 +342,69 @@ def feedback_counts_keyview(ranking, token_docs, prf_docs):
     return counts
 
 
+def feedback_model_dicts(counts, p_coll, noise):
+    """The closed-form feedback model as ``feedback_model`` computed it over dicts.
+
+    ``counts`` maps term to feedback-token count and ``p_coll`` term to
+    p(t|C). Terms are ordered by descending ``c_t / q_t``, equal ratios by
+    ascending term, and the running sums are added one term at a time, so
+    the array version should give the same terms and the same floats.
+    Returns the support as term to probability, in that order; with
+    ``noise >= 1``, the uniform distribution over the counted terms,
+    ascending.
+    """
+    if not any(counts.values()):
+        raise ValueError("no feedback term counts")
+    if noise >= 1.0:
+        return {t: 1.0 / len(counts) for t in sorted(counts)}
+    r = noise / (1.0 - noise)
+    q = {t: p_coll[t] for t in counts}
+    if min(q.values()) <= 0.0:
+        raise ValueError("feedback terms must occur in the collection")
+    order = sorted(counts, key=lambda t: (-counts[t] / q[t], t))
+    c_sum = q_sum = 0.0
+    kept, nu = 0, 1.0
+    for t in order:
+        c_sum += counts[t]
+        q_sum += q[t]
+        nu_here = c_sum / (1.0 + r * q_sum)
+        if counts[t] / nu_here - r * q[t] <= 0.0:
+            break
+        kept, nu = kept + 1, nu_here
+    probs = {t: counts[t] / nu - r * q[t] for t in order[:kept]}
+    return {t: p for t, p in probs.items() if p > 0.0}
+
+
+def prf_expand_dicts(dist, ranking, token_docs, prf_docs, prf_terms, lam, noise):
+    """The expanded query distribution ``prf_mixture`` makes, over dicts.
+
+    Counts come from ``feedback_counts_keyview``, the model from
+    ``feedback_model_dicts`` with p(t|C) from ``index_bruteforce``. The
+    strongest ``prf_terms`` terms (ties by term) are renormalized and
+    interpolated with ``dist`` by ``lam``; the original terms keep their
+    order and the new ones follow by descending feedback weight, then term.
+    """
+    if lam == 0.0:
+        return dist
+    counts = feedback_counts_keyview(ranking, token_docs, prf_docs)
+    if not counts:
+        return dist
+    _, doc_len, collection_freq = index_bruteforce(token_docs)
+    total_tokens = sum(doc_len.values())
+    probs = feedback_model_dicts(
+        counts, {t: collection_freq[t] / total_tokens for t in counts}, noise)
+    strongest = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))[:prf_terms]
+    total = sum(p for _, p in strongest)
+    feedback = {t: p / total for t, p in strongest}
+    merged = {t: (1.0 - lam) * w for t, w in dist.items()}
+    for t, p in feedback.items():
+        merged[t] = merged.get(t, 0.0) + lam * p
+    norm = sum(merged.values())
+    added = sorted((t for t in feedback if t not in dist), key=lambda t: (-feedback[t], t))
+    weights = {t: merged[t] / norm for t in list(dist) + added}
+    return {t: w for t, w in weights.items() if w > 0.0}
+
+
 def mixture_loglikelihood(counts, p_coll, noise, probs):
     """Log-likelihood of the feedback tokens under the fixed-noise mixture.
 

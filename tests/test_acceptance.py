@@ -39,7 +39,6 @@ from affixgen.retrieval import (
     RetrievalConfig,
     RunFile,
     evaluate,
-    feedback_model,
     paired_ttest,
     run_queries,
     score_kl,
@@ -65,7 +64,7 @@ from oracles import (
     weights_itd_bruteforce,
 )
 from synthcorpus import build_world
-from tables import cooc_of, index_of, tables
+from tables import cooc_of, feedback_probs, index_of, tables
 
 
 def rand_word(rng, alphabet, lo, hi):
@@ -498,7 +497,7 @@ def test_criterion_10_feedback_model_is_exact_mle():
                 for t in rng.sample(vocab, rng.randint(1, min(10, len(vocab))))
             }
             p_coll = {t: index.p_collection(t) for t in counts}
-            probs = feedback_model(counts, index, noise)
+            probs = feedback_probs(counts, index, noise)
             assert set(probs) <= set(counts)
             assert all(p > 0.0 for p in probs.values())
             assert abs(math.fsum(probs.values()) - 1.0) <= 1e-9

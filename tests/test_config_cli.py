@@ -23,6 +23,7 @@ from affixgen.corpus import (
 from affixgen.disambig import (
     BilingualDictionary,
     build_weighted_query,
+    load_weighted_queries,
     save_weighted_queries,
 )
 from affixgen.retrieval import evaluate, load_qrels, load_run
@@ -34,7 +35,12 @@ from affixgen.config import (
     load_config,
     save_config,
 )
-from oracles import index_bruteforce, window_cooccurrence_bruteforce
+from oracles import (
+    index_bruteforce,
+    prf_expand_dicts,
+    score_kl_dicts,
+    window_cooccurrence_bruteforce,
+)
 from synthcorpus import build_world, world_files
 from tables import tables, token_stream
 
@@ -265,6 +271,33 @@ class TestCliPipeline:
         ])
         assert rc == 0
         assert out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("prf", [False, True])
+    @pytest.mark.parametrize("top_k", [1000, 20])
+    def test_run_file_matches_the_dict_oracles(self, pipeline, tmp_path, prf, top_k):
+        # The world has 500 documents: top_k 20 cuts below them and below
+        # prf_docs, 1000 ranks them all.
+        queries = tmp_path / "q.tsv"
+        assert translate(pipeline, queries, "--weighting", "2g") == 0
+        out = tmp_path / "run.txt"
+        assert main(["retrieve", "--index-dir", pipeline.index_dir, "--queries", str(queries),
+                     "--out", str(out), "--top-k", str(top_k),
+                     "--prf" if prf else "--no-prf"]) == 0
+        cfg = ExperimentConfig()
+        token_docs = list(token_stream(pipeline.world.documents))
+        expected = []
+        for query in load_weighted_queries(queries):
+            dist = query.as_distribution()
+            if prf:
+                first = score_kl_dicts(dist, token_docs, cfg.mu, max(top_k, cfg.prf_docs))
+                dist = prf_expand_dicts(dist, first, token_docs, cfg.prf_docs, cfg.prf_terms,
+                                        cfg.prf_lambda, cfg.prf_noise)
+            ranking = score_kl_dicts(dist, token_docs, cfg.mu, top_k)
+            expected.extend(f"{query.query_id} Q0 {doc_id} {rank} {score!r} {cfg.run_tag}"
+                            for rank, (doc_id, score) in enumerate(ranking, 1))
+        assert len(expected) == len(pipeline.world.topics) * min(top_k, 500)
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.tsv", "run.txt"]
 
     def test_emit_config_reloads_identically(self, pipeline, tmp_path):
         emitted = tmp_path / "effective.ini"

@@ -29,10 +29,12 @@ from affixgen.retrieval import (
     save_eval,
     save_run,
     score_kl,
+    write_run,
 )
 from oracles import (
     average_precision_bruteforce,
     feedback_counts_keyview,
+    feedback_model_dicts,
     feedback_model_em,
     interpolated_precision_bruteforce,
     kl_score_bruteforce,
@@ -40,7 +42,7 @@ from oracles import (
     precision_at_k_bruteforce,
     score_kl_dicts,
 )
-from tables import index_of, token_stream
+from tables import feedback_probs, index_of, token_stream
 
 
 def query(qid, dist, prov=PROV_DICTIONARY):
@@ -208,6 +210,96 @@ class TestArraysMatchDictOracles:
         at = order.index("e0")
         assert order[at + 1] == "e1" and got[at][1] == got[at + 1][1]
 
+    @staticmethod
+    def tie_groups(ranking):
+        """(start, end) of every run of two or more equal scores in ``ranking``."""
+        groups, start = [], 0
+        for i in range(1, len(ranking) + 1):
+            if i == len(ranking) or ranking[i][1] != ranking[start][1]:
+                if i - start > 1:
+                    groups.append((start, i))
+                start = i
+        return groups
+
+    def assert_cuts_match(self, docs, dist, mu, top_ks):
+        index = index_of(docs)
+        token_docs = list(token_stream(docs))
+        brute = kl_score_bruteforce(dist, dict(token_docs), mu)
+        for top_k in top_ks:
+            got = score_kl(query("q", dist), index, RetrievalConfig(mu=mu, top_k=top_k))
+            assert got == score_kl_dicts(dist, token_docs, mu, top_k)
+            assert len(got) == min(top_k, len(docs))
+            assert dict(got) == pytest.approx({doc: brute[doc] for doc, _ in got}, abs=1e-12)
+
+    def test_top_k_cut_inside_large_tie_groups(self):
+        # Hundreds of documents: big groups of equal length with no query
+        # term, and groups of identical matched documents, which tie too.
+        # Ids are drawn at random, so their order is not the line order.
+        rng = random.Random(84)
+        texts = (["x x q"] * 4 + ["x q q q"] * 6 + ["x w"] * 3 + ["w q q"] * 5
+                 + [""] * 40 + ["q q"] * 120 + ["q q q q q"] * 150 + ["v"] * 60)
+        rng.shuffle(texts)
+        docs = [Document(f"d{n}", text)
+                for n, text in zip(rng.sample(range(10_000), len(texts)), texts)]
+        n = len(docs)
+        tokens = dict(token_stream(docs))
+        matched_tie_cut = False
+        for dist in ({"x": 1.0}, {"x": 0.6, "w": 0.4}, {"w": 0.3, "zz": 0.7}):
+            full = score_kl_dicts(dist, list(tokens.items()), 1000.0, n)
+            groups = self.tie_groups(full)
+            assert len(groups) >= 4
+            matched_tie_cut |= any(
+                set(tokens[full[start][0]]) & set(dist) for start, _ in groups)
+            cuts = {1, n - 1, n, n + 5}
+            cuts |= {start + 1 for start, end in groups} | {end - 1 for start, end in groups}
+            self.assert_cuts_match(docs, dist, 1000.0, sorted(cuts))
+        assert matched_tie_cut
+
+    def test_top_k_cut_on_random_large_collections(self):
+        rng = random.Random(85)
+        for _ in range(20):
+            n = rng.randint(200, 400)
+            docs = [Document(f"d{i}", " ".join(rng.choices("abbcccz", k=rng.choice((0, 2, 3, 5)))))
+                    for i in rng.sample(range(10_000), n)]
+            dist = {t: rng.random() for t in rng.sample("abcy", rng.randint(1, 3))}
+            total = sum(dist.values())
+            dist = {t: w / total for t, w in dist.items()}
+            mu = rng.choice([1.0, 10.0, 1000.0])
+            self.assert_cuts_match(docs, dist, mu, [1, rng.randint(2, n - 2), n - 1, n, n + 5])
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5, 0.999999, 1.0])
+    def test_feedback_model_matches_dict_oracle(self, noise):
+        # Collection frequencies are powers of two, and half the counted
+        # terms get counts proportional to theirs, so different terms have
+        # exactly equal c/q ratios and the order among them is the tie order.
+        rng = random.Random(86)
+        ties = 0
+        for _ in range(200):
+            cf = {t: rng.choice((1, 2, 4, 8)) for t in "abcdefghijklmn"[:rng.randint(2, 14)]}
+            tokens = [t for t, c in cf.items() for _ in range(c)]
+            rng.shuffle(tokens)
+            index = index_of([Document("d", " ".join(tokens))])
+            counted = rng.sample(sorted(cf), rng.randint(1, len(cf)))
+            k = rng.randint(1, 3)
+            counts = {t: k * cf[t] if rng.random() < 0.5 else rng.randint(1, 20)
+                      for t in counted}
+            p_coll = {t: index.p_collection(t) for t in counts}
+            ratios = [-counts[t] / p_coll[t] for t in counts]
+            ties += len(ratios) - len(set(ratios))
+            expected = feedback_model_dicts(counts, p_coll, noise)
+            got = feedback_probs(counts, index, noise)
+            assert list(got.items()) == list(expected.items())
+        assert ties > 50
+
+    def test_feedback_model_returns_its_order_on_arrays(self):
+        index = index_of([Document("d", "a b b c c c c")])
+        ids = np.array([index.term_id[t] for t in "abc"], dtype=np.int64)
+        support, probs = feedback_model(ids, np.array([2, 4, 1], dtype=np.int64), index, 0.5)
+        # c/q: a 14, b 14, c 1.75; a and b tie and keep id order.
+        assert [index.terms[t] for t in support.tolist()] == ["a", "b"]
+        assert probs.tolist() == list(feedback_model_dicts(
+            {"a": 2, "b": 4, "c": 1}, {t: index.p_collection(t) for t in "abc"}, 0.5).values())
+
     def test_feedback_counts_match_on_random_rankings(self):
         # Rankings shorter and longer than prf_docs, repeated documents,
         # empty documents and ids the collection does not hold.
@@ -218,10 +310,11 @@ class TestArraysMatchDictOracles:
             pool = [d.doc_id for d in docs] + ["nowhere"]
             ranking = [(rng.choice(pool), -float(i)) for i in range(rng.randint(0, 20))]
             prf_docs = rng.randint(1, 12)
-            got = _feedback_counts(ranking[:prf_docs], index)
+            ids, counts = _feedback_counts(ranking[:prf_docs], index)
+            got = dict(zip(map(index.terms.__getitem__, ids.tolist()), counts.tolist()))
             expected = feedback_counts_keyview(ranking, list(token_stream(docs)), prf_docs)
             assert list(got.items()) == list(expected.items())
-            assert all(type(count) is int for count in got.values())
+            assert ids.dtype == counts.dtype == np.int64
 
     def test_ranking_shorter_than_prf_docs(self):
         docs = [Document("d1", "x x y"), Document("d2", "y z"), Document("d3", "z z w")]
@@ -230,7 +323,9 @@ class TestArraysMatchDictOracles:
         cfg = RetrievalConfig(mu=10, prf_docs=30, prf_terms=10, prf_lambda=1.0, prf_noise=0.0)
         ranking = score_kl(q, index, RetrievalConfig(mu=10, top_k=2))
         assert [doc for doc, _ in ranking] == ["d1", "d2"]
-        assert _feedback_counts(ranking[:cfg.prf_docs], index) == {"x": 2, "y": 2, "z": 1}
+        ids, counts = _feedback_counts(ranking[:cfg.prf_docs], index)
+        assert [index.terms[t] for t in ids] == ["x", "y", "z"]
+        assert counts.tolist() == [2, 2, 1]
         expanded = prf_mixture(ranking, index, cfg, q).as_distribution()
         assert expanded == pytest.approx({"x": 0.4, "y": 0.4, "z": 0.2}, abs=1e-12)
 
@@ -243,7 +338,7 @@ def assert_exact_mle(counts, index, noise, em_ll):
     (KKT). The tolerances cover rounding: p_t = c_t / nu - r * q_t cancels
     digits when r = noise / (1 - noise) is near 1e6, about r * 2.2e-16.
     """
-    probs = feedback_model(counts, index, noise)
+    probs = feedback_probs(counts, index, noise)
     p_coll = {t: index.p_collection(t) for t in counts}
     assert set(probs) <= set(counts)
     assert all(p > 0.0 for p in probs.values())
@@ -265,13 +360,13 @@ def assert_exact_mle(counts, index, noise, em_ll):
 class TestFeedback:
     def test_noiseless_fit_recovers_count_proportions(self):
         index = index_of([Document("d1", "a a b"), Document("d2", "c c c c")])
-        probs = feedback_model({"a": 2, "b": 1}, index, noise=0.0)
+        probs = feedback_probs({"a": 2, "b": 1}, index, noise=0.0)
         assert probs["a"] == pytest.approx(2 / 3, abs=1e-12)
         assert probs["b"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_pure_noise_returns_uniform(self):
         index = index_of([Document("d1", "a a b")])
-        probs = feedback_model({"a": 2, "b": 1}, index, noise=1.0)
+        probs = feedback_probs({"a": 2, "b": 1}, index, noise=1.0)
         assert probs == {"a": 0.5, "b": 0.5}
 
     def test_loglikelihood_never_decreases(self):
@@ -328,7 +423,7 @@ class TestFeedback:
         index = index_of(
             [Document(t, " ".join([t] * n)) for t, n in sorted(cf.items())]
         )
-        assert feedback_model(counts, index, noise) == pytest.approx(expected, abs=1e-9)
+        assert feedback_probs(counts, index, noise) == pytest.approx(expected, abs=1e-9)
         p_coll = {t: index.p_collection(t) for t in counts}
         _, history, converged = feedback_model_em(counts, p_coll, noise)
         assert converged
@@ -337,7 +432,7 @@ class TestFeedback:
     def test_empty_counts_rejected(self):
         index = index_of([Document("d1", "a")])
         with pytest.raises(ValueError, match="no feedback"):
-            feedback_model({}, index, noise=0.5)
+            feedback_probs({}, index, noise=0.5)
 
     def test_feedback_counts_are_exact(self):
         # Terms span document frequencies below and above prf_docs, and some
@@ -443,6 +538,25 @@ class TestRunAndQrelsFiles:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             save_run(run, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("second", ["bad id", "raises"])
+    def test_write_run_failure_leaves_the_old_file_and_no_partial(self, tmp_path, second):
+        path = tmp_path / "run.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def rankings():
+            yield "q1", [("d1", -1.0)] * 3
+            if second == "raises":
+                raise ValueError("query 'q2' is empty")
+            yield "q2", [("d1", -1.0), ("d 2", -2.0)]
+
+        with pytest.raises(ValueError, match="'q2' is empty|'d 2'"):
+            write_run(rankings(), "tag", path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert write_run(iter([("q1", [("d1", -1.0)])]), "tag", path) == 1
+        assert path.read_text(encoding="utf-8") == "q1 Q0 d1 1 -1.0 tag\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_run_validation(self, tmp_path):
         path = tmp_path / "run.txt"
