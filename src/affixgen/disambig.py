@@ -1,25 +1,25 @@
 """Translation candidate weighting and weighted query construction.
 
 Each query term contributes a candidate set: its dictionary translations plus
-optional morphological formations generated from them. Weighting methods score
-candidates by how strongly they associate with the candidates of the other
-query terms in target-language co-occurrence statistics, then normalize per
-term. Formations are scored against dictionary candidates only, so unreliable
-formations cannot reinforce each other.
+optional morphological formations generated from them. A query's slots are
+each term's dictionary candidates, then its formations, term after term. Every
+weighting method fills one score row over the slots and normalizes it per
+term; a term whose slots sum to zero reads the method's fallback row. The
+sets' weights are built once, from the final row.
 
-Two association-based methods are provided. Both read one edge list, computed
-once per query by the one pass that applies the formation rule. The iterative
-method starts from uniform weights and repeatedly adds association mass from
-the other terms' current weights; the one-shot method sums joint
-probabilities. Baselines (first translation, uniform, collection frequency)
-ignore associations entirely.
+The iterative (ITD) and one-shot (2G) methods score candidates by association
+with the other terms' candidates in target-language co-occurrence, read from
+one edge list per query. Formations are scored against dictionary candidates
+only, so unreliable formations cannot reinforce each other. Baselines (first
+translation, uniform, collection frequency) ignore associations entirely.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import sub
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -138,63 +138,77 @@ def init_weights(
     sets: Sequence[TranslationCandidateSet],
 ) -> list[TranslationCandidateSet]:
     """Uniform starting weights over each term's candidates and formations."""
+    return _weighted(sets, _normalized(_spans(sets), _ones(sets)))
+
+
+def _ones(sets: Sequence[TranslationCandidateSet]) -> list[float]:
+    """A one on every slot; a term with no candidates is an error."""
     for cs in sets:
         if cs.size == 0:
             raise ValueError(f"term {cs.query_term!r} has no candidates")
-    return [_normalized(cs, [1.0] * cs.size) for cs in sets]
+    return [1.0] * sum(cs.size for cs in sets)
+
+
+def _spans(sets: Sequence[TranslationCandidateSet]) -> list[tuple[int, int, int]]:
+    """Each term's first slot, first formation slot and end on the flat numbering."""
+    ends = list(accumulate([cs.size for cs in sets], initial=0))
+    return [(a, a + len(cs.dict_candidates), b) for cs, a, b in zip(sets, ends, ends[1:])]
 
 
 def _edge_lists(
     sets: Sequence[TranslationCandidateSet], assoc: AssociationModel
-) -> list[list[list[tuple[int, int, float]]]]:
-    """Per term and slot, the nonzero ``(other term, other slot, edge)`` it reads.
+) -> list[list[tuple[int, float]]]:
+    """Per slot, the nonzero ``(other slot, edge)`` pairs it reads.
 
-    Slots are a term's dictionary candidates, then its formations. Only
-    dictionary candidates read the other terms' formations, so unreliable
-    formations cannot reinforce each other. Lists run in summation order:
-    other terms in turn, dictionary candidates first. Every edge comes from
-    one ``edge_matrix`` call over all the query's slots.
+    Only dictionary candidates read the other terms' formations, so
+    unreliable formations cannot reinforce each other. Lists run in
+    summation order: other terms in turn, dictionary candidates first. Every
+    edge comes from one ``edge_matrix`` call over all the query's slots.
     """
     surfaces = [s for cs in sets for s in cs.dict_candidates + [f.surface for f in cs.formations]]
     matrix = assoc.edge_matrix(surfaces)
-    offsets = list(accumulate((cs.size for cs in sets), initial=0))
+    spans = _spans(sets)
     edges = []
-    for i, cs in enumerate(sets):
-        rows = []
-        for slot in range(cs.size):
-            row = matrix[offsets[i] + slot]
-            whole = slot < len(cs.dict_candidates)  # formations read dictionary slots only
-            rows.append([
-                (ip, b, edge)
-                for ip, other in enumerate(sets) if ip != i
-                for b in range(other.size if whole else len(other.dict_candidates))
-                if (edge := row[offsets[ip] + b])
+    for i, (start, mid, end) in enumerate(spans):
+        for slot in range(start, end):
+            row = matrix[slot]
+            whole = slot < mid  # formations read dictionary slots only
+            edges.append([
+                (other, edge)
+                for ip, (ostart, omid, oend) in enumerate(spans) if ip != i
+                for other in range(ostart, oend if whole else omid)
+                if (edge := row[other])
             ])
-        edges.append(rows)
     return edges
 
 
-def _scores(
-    edges, start: list[list[float]], weights: list[list[float]]
-) -> list[list[float]]:
+def _scores(edges, start: list[float], weights: list[float]) -> list[float]:
     """``start + sum(edge * weight)`` per slot, added in edge-list order."""
     out = []
-    for rows, firsts in zip(edges, start):
-        term = []
-        for row, total in zip(rows, firsts):
-            for ip, b, edge in row:
-                total += edge * weights[ip][b]
-            term.append(total)
-        out.append(term)
+    for total, row in zip(start, edges):
+        for other, edge in row:
+            total += edge * weights[other]
+        out.append(total)
     return out
 
 
-def _normalized(cs: TranslationCandidateSet, row: list[float]) -> TranslationCandidateSet:
-    """``cs`` weighted by ``row``, its slots in order, over the row's sum."""
-    n = len(cs.dict_candidates)
-    total = sum(row[:n]) + sum(row[n:])
-    row = [x / total for x in row]
-    return replace(cs, dict_weights=row[:n], formation_weights=row[n:])
+def _normalized(spans: list[tuple[int, int, int]], row: list[float],
+                fallback: list[float] | None = None) -> list[float]:
+    """``row`` over each term's slot sum; a term whose slots sum to zero reads ``fallback``."""
+    out = []
+    for start, mid, end in spans:
+        src = row if fallback is None or any(row[start:end]) else fallback
+        total = sum(src[start:mid]) + sum(src[mid:end])
+        out += [x / total for x in src[start:end]]
+    return out
+
+
+def _weighted(sets: Sequence[TranslationCandidateSet],
+              row: list[float]) -> list[TranslationCandidateSet]:
+    """``sets`` with their weights read off ``row``."""
+    return [TranslationCandidateSet(cs.query_term, cs.dict_candidates, cs.formations,
+                                    row[start:mid], row[mid:end])
+            for cs, (start, mid, end) in zip(sets, _spans(sets))]
 
 
 @dataclass
@@ -217,30 +231,23 @@ def itd_weights(
     every candidate keeps its weight and adds, over the edges it reads (see
     ``_edge_lists``), the edge times the other candidate's weight; then each
     term's weights are normalized. Convergence is reached when no normalized
-    weight moves by ``eps`` or more between consecutive iterations.
+    weight moves by ``eps`` or more between consecutive iterations. The
+    weights iterate as one row over the slots; the sets are built at the end.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     edges = _edge_lists(sets, assoc)
-    current = list(sets)
-    iterations = 0
-    converged = False
-    delta = math.inf
-    while iterations < max_iters:
-        weights = [cs.dict_weights + cs.formation_weights for cs in current]
-        raw = _scores(edges, weights, weights)
-        iterations += 1
-        current = [_normalized(cs, row) for cs, row in zip(current, raw)]
-        delta = 0.0
-        for cs, old_row in zip(current, weights):
-            for old, new in zip(old_row, cs.dict_weights + cs.formation_weights):
-                delta = max(delta, abs(new - old))
-        if delta < eps:
-            converged = True
+    spans = _spans(sets)
+    weights = [w for cs in sets for w in cs.dict_weights + cs.formation_weights]
+    for iterations in range(1, max_iters + 1):
+        new = _normalized(spans, _scores(edges, weights, weights))
+        delta = max(map(abs, map(sub, new, weights)), default=0.0)
+        weights = new
+        if converged := delta < eps:
             break
-    return ItdResult(current, iterations, converged, delta)
+    return ItdResult(_weighted(sets, weights), iterations, converged, delta)
 
 
 def joint_weights_2g(
@@ -248,21 +255,16 @@ def joint_weights_2g(
 ) -> list[TranslationCandidateSet]:
     """One-shot weighting by summed joint probabilities with other terms.
 
-    Candidates sum the same once-per-query edges as ``itd_weights``, with
-    unit weights and no weight of their own. A term whose candidates all
-    score zero falls back to uniform weights; single-term queries therefore
-    come out uniform.
+    Slots sum the same once-per-query edges as ``itd_weights``, with unit
+    weights and no weight of their own. A term whose slots all score zero
+    reads the fallback row of ones, uniform over its slots; single-term
+    queries therefore come out uniform.
     """
     if assoc.kind != JOINT:
         raise ValueError("joint-probability weighting requires a joint association model")
-    uniform = init_weights(sets)
-    zeros = [[0.0] * cs.size for cs in sets]
-    ones = [[1.0] * cs.size for cs in sets]
-    scores = _scores(_edge_lists(sets, assoc), zeros, ones)
-    return [
-        _normalized(cs, row) if any(row) else u
-        for cs, row, u in zip(sets, scores, uniform)
-    ]
+    ones = _ones(sets)
+    scores = _scores(_edge_lists(sets, assoc), [0.0] * len(ones), ones)
+    return _weighted(sets, _normalized(_spans(sets), scores, ones))
 
 
 def baseline_weights(
@@ -275,27 +277,21 @@ def baseline_weights(
         raise ValueError(f"unknown baseline method: {method!r}")
     if method == "coll" and index is None:
         raise ValueError("collection-frequency weighting needs an index")
-    out = []
+    row, uniform = [], []
     for cs in sets:
         n = len(cs.dict_candidates)
         if n == 0:
             raise ValueError(f"term {cs.query_term!r} has no dictionary candidates")
         if method == "top1":
-            drow = [1.0] + [0.0] * (n - 1)
+            scores = [1.0] + [0.0] * (n - 1)
         elif method == "unif":
-            drow = [1.0 / n] * n
+            scores = [1.0] * n
         else:
-            freqs = [float(index.cf(c)) for c in cs.dict_candidates]
-            total = sum(freqs)
-            drow = [f / total for f in freqs] if total > 0 else [1.0 / n] * n
-        out.append(
-            replace(
-                cs,
-                dict_weights=drow,
-                formation_weights=[0.0] * len(cs.formations),
-            )
-        )
-    return out
+            scores = [float(index.cf(c)) for c in cs.dict_candidates]
+        zeros = [0.0] * len(cs.formations)
+        row += scores + zeros
+        uniform += [1.0] * n + zeros
+    return _weighted(sets, _normalized(_spans(sets), row, uniform))
 
 
 class QueryTerm(NamedTuple):

@@ -299,22 +299,18 @@ def write_run(
     try:
         with open(partial, "w", encoding="utf-8") as handle:
             for qid, ranking in rankings:
-                for name in (run_tag, qid, *(doc_id for doc_id, _ in ranking)):
-                    if name.split() != [name]:
-                        raise ValueError(f"run file field {name!r} is empty or holds whitespace")
-                for rank, (doc_id, score) in enumerate(ranking, 1):
-                    handle.write(f"{qid} Q0 {doc_id} {rank} {score!r} {run_tag}\n")
+                names = [run_tag, qid, *(doc_id for doc_id, _ in ranking)]
+                if " ".join(names).split() != names:  # load_run splits on whitespace
+                    bad = next(name for name in names if name.split() != [name])
+                    raise ValueError(f"run file field {bad!r} is empty or holds whitespace")
+                handle.write("".join([f"{qid} Q0 {doc_id} {rank} {score!r} {run_tag}\n"
+                                      for rank, (doc_id, score) in enumerate(ranking, 1)]))
                 written += 1
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
     return written
-
-
-def save_run(run: RunFile, path: str | Path) -> None:
-    """Write a held run with ``write_run``."""
-    write_run(run.rankings.items(), run.run_tag, path)
 
 
 def load_run(path: str | Path) -> RunFile:

@@ -15,7 +15,7 @@ of its characters' lists rather than vocabulary size times alphabet size.
 Rule mining and formation generation share both.
 
 Each action records its operation, the character involved, and a coarse
-position. Positions are assigned while walking the alignment left to right:
+position. Positions are judged in the alignment's left-to-right order:
 an action is tagged ``begin`` when it touches index 0 of the partially
 transformed string, ``end`` when it touches the final position, and
 ``middle`` otherwise. Anchoring positions to the partially transformed
@@ -128,52 +128,28 @@ def _traceback(w: str, w2: str, rows: list[list[int]], k: int) -> tuple[Action, 
     Walking back from the terminal cell, a match is preferred, then a
     deletion from the source, then an insertion; a deletion from the band's
     last diagonal (``j - i == k``) would leave the band and is never taken.
-    Actions are emitted in left-to-right alignment order.
+    Each action's position is judged against ``w2[:j] + w[i:]``, the string
+    just before it in left-to-right order, and the actions are returned in
+    that order.
     """
     n = len(w)
-    moves: list[str] = []
+    actions: list[Action] = []
     i, j = n, len(w2)
     while i > 0 or j > 0:
         d = j - i + k
         here = rows[i][d]
         if i > 0 and j > 0 and w[i - 1] == w2[j - 1] and rows[i - 1][d] == here:
-            moves.append("match")
             i -= 1
             j -= 1
         elif i > 0 and d < 2 * k and rows[i - 1][d + 1] + 1 == here:
-            moves.append("delete")
             i -= 1
-        else:
-            moves.append("insert")
-            j -= 1
-    moves.reverse()
-
-    # Forward pass: positions are judged against the evolving string
-    # w2[:j] + w[i:], the state after the actions emitted so far.
-    actions: list[Action] = []
-    i = j = 0
-    for move in moves:
-        if move == "match":
-            i += 1
-            j += 1
-        elif move == "insert":
-            if i == n:
-                pos = END
-            elif j == 0:
-                pos = BEGIN
-            else:
-                pos = MIDDLE
-            actions.append(Action(INSERT, pos, w2[j]))
-            j += 1
-        else:
-            if j == 0:
-                pos = BEGIN
-            elif i == n - 1:
-                pos = END
-            else:
-                pos = MIDDLE
+            pos = BEGIN if j == 0 else END if i == n - 1 else MIDDLE
             actions.append(Action(DELETE, pos, w[i]))
-            i += 1
+        else:
+            j -= 1
+            pos = END if i == n else BEGIN if j == 0 else MIDDLE
+            actions.append(Action(INSERT, pos, w2[j]))
+    actions.reverse()
     return tuple(actions)
 
 

@@ -4,17 +4,27 @@ Everything here is written directly from definitions, trading speed for
 obviousness, so the optimized library code has something honest to be
 checked against. One helper is not an oracle but an entry point into
 shipped code that the library does not export: ``indel_distance`` runs the
-banded kernel with an unbounded band.
+banded kernel with an unbounded band. ``weights_per_term`` is the candidate
+weighting as the library once computed it, term by term, kept so that the
+one-row weighting can be checked against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 
 from affixgen.corpus import UNKNOWN_TAG
+from affixgen.disambig import (
+    JOINT,
+    MUTUAL_INFORMATION,
+    AssociationModel,
+    ItdResult,
+)
 from affixgen.morphgen import FormationCandidate
 from affixgen.rules import (
     BEGIN,
@@ -621,3 +631,120 @@ def weights_itd_bruteforce(sets, cooc, max_iters, eps):
         if delta < eps:
             break
     return weighted, iterations
+
+
+def _edge_lists_per_term(sets, assoc):
+    """Per term and slot, the nonzero ``(other term, other slot, edge)`` it reads.
+
+    Slots are a term's dictionary candidates, then its formations. Only
+    dictionary candidates read the other terms' formations. Lists run in
+    summation order: other terms in turn, dictionary candidates first.
+    """
+    surfaces = [s for cs in sets for s in cs.dict_candidates + [f.surface for f in cs.formations]]
+    matrix = assoc.edge_matrix(surfaces)
+    offsets = list(accumulate((cs.size for cs in sets), initial=0))
+    edges = []
+    for i, cs in enumerate(sets):
+        rows = []
+        for slot in range(cs.size):
+            row = matrix[offsets[i] + slot]
+            whole = slot < len(cs.dict_candidates)
+            rows.append([
+                (ip, b, edge)
+                for ip, other in enumerate(sets) if ip != i
+                for b in range(other.size if whole else len(other.dict_candidates))
+                if (edge := row[offsets[ip] + b])
+            ])
+        edges.append(rows)
+    return edges
+
+
+def _scores_per_term(edges, start, weights):
+    """``start + sum(edge * weight)`` per term and slot, added in edge-list order."""
+    out = []
+    for rows, firsts in zip(edges, start):
+        term = []
+        for row, total in zip(rows, firsts):
+            for ip, b, edge in row:
+                total += edge * weights[ip][b]
+            term.append(total)
+        out.append(term)
+    return out
+
+
+def _normalized_per_term(cs, row):
+    """``cs`` weighted by ``row``, its slots in order, over the row's sum."""
+    n = len(cs.dict_candidates)
+    total = sum(row[:n]) + sum(row[n:])
+    row = [x / total for x in row]
+    return replace(cs, dict_weights=row[:n], formation_weights=row[n:])
+
+
+def init_weights_per_term(sets):
+    for cs in sets:
+        if cs.size == 0:
+            raise ValueError(f"term {cs.query_term!r} has no candidates")
+    return [_normalized_per_term(cs, [1.0] * cs.size) for cs in sets]
+
+
+def itd_weights_per_term(sets, assoc, max_iters=50, eps=1e-6):
+    """ITD with one candidate set per term rebuilt on every iteration."""
+    edges = _edge_lists_per_term(sets, assoc)
+    current = list(sets)
+    iterations = 0
+    converged = False
+    delta = math.inf
+    while iterations < max_iters:
+        weights = [cs.dict_weights + cs.formation_weights for cs in current]
+        raw = _scores_per_term(edges, weights, weights)
+        iterations += 1
+        current = [_normalized_per_term(cs, row) for cs, row in zip(current, raw)]
+        delta = 0.0
+        for cs, old_row in zip(current, weights):
+            for old, new in zip(old_row, cs.dict_weights + cs.formation_weights):
+                delta = max(delta, abs(new - old))
+        if delta < eps:
+            converged = True
+            break
+    return ItdResult(current, iterations, converged, delta)
+
+
+def joint_weights_2g_per_term(sets, assoc):
+    """2G weights per term; a term whose candidates all score zero is uniform."""
+    uniform = init_weights_per_term(sets)
+    zeros = [[0.0] * cs.size for cs in sets]
+    ones = [[1.0] * cs.size for cs in sets]
+    scores = _scores_per_term(_edge_lists_per_term(sets, assoc), zeros, ones)
+    return [
+        _normalized_per_term(cs, row) if any(row) else u
+        for cs, row, u in zip(sets, scores, uniform)
+    ]
+
+
+def baseline_weights_per_term(sets, method, index=None):
+    """top1, unif or coll weights per term; formations get zero weight."""
+    out = []
+    for cs in sets:
+        n = len(cs.dict_candidates)
+        if n == 0:
+            raise ValueError(f"term {cs.query_term!r} has no dictionary candidates")
+        if method == "top1":
+            drow = [1.0] + [0.0] * (n - 1)
+        elif method == "unif":
+            drow = [1.0 / n] * n
+        else:
+            freqs = [float(index.cf(c)) for c in cs.dict_candidates]
+            total = sum(freqs)
+            drow = [f / total for f in freqs] if total > 0 else [1.0 / n] * n
+        out.append(replace(cs, dict_weights=drow, formation_weights=[0.0] * len(cs.formations)))
+    return out
+
+
+def weights_per_term(sets, method, *, index=None, cooc=None, itd_max_iters=50, itd_eps=1e-6):
+    """``weight_candidate_sets`` computed term by term, for the same arguments."""
+    if method == "2g":
+        return joint_weights_2g_per_term(sets, AssociationModel(cooc, JOINT))
+    if method == "itd":
+        assoc = AssociationModel(cooc, MUTUAL_INFORMATION)
+        return itd_weights_per_term(init_weights_per_term(sets), assoc, itd_max_iters, itd_eps).sets
+    return baseline_weights_per_term(sets, method, index)

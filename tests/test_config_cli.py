@@ -13,7 +13,7 @@ import scipy.stats
 
 import affixgen
 from affixgen.cli import build_parser, main
-from affixgen import corpus, morphgen
+from affixgen import corpus, disambig, morphgen
 from affixgen.corpus import (
     Document,
     load_cooccurrence,
@@ -39,6 +39,7 @@ from oracles import (
     index_bruteforce,
     prf_expand_dicts,
     score_kl_dicts,
+    weights_per_term,
     window_cooccurrence_bruteforce,
 )
 from synthcorpus import build_world, world_files
@@ -478,6 +479,20 @@ def run_child(code, *args):
 
 
 NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
+
+
+class TestQueryFilesMatchPerTermWeighting:
+    @pytest.mark.parametrize("weighting", ["unif", "top1", "coll", "itd", "2g"])
+    @pytest.mark.parametrize("mode", ["none", "ag"])
+    def test_query_file_is_byte_identical(self, pipeline, tmp_path, monkeypatch, mode,
+                                          weighting):
+        args = ("--mode", mode, "--weighting", weighting, "--rules-file", pipeline.rules_file)
+        flat, per_term = tmp_path / "flat.tsv", tmp_path / "per_term.tsv"
+        assert translate(pipeline, flat, *args) == 0
+        monkeypatch.setattr(disambig, "weight_candidate_sets", weights_per_term)
+        assert translate(pipeline, per_term, *args) == 0
+        assert flat.read_bytes() == per_term.read_bytes()
+        assert flat.stat().st_size > 0
 
 
 class TestWithoutScipy:

@@ -31,8 +31,13 @@ from affixgen.disambig import (
 )
 from affixgen.morphgen import FormationCandidate, NoiseFilterConfig
 from affixgen.rules import TransformationRule
-from oracles import itd_step
-from tables import cooc_of, index_of
+from oracles import (
+    init_weights_per_term,
+    itd_step,
+    itd_weights_per_term,
+    weights_per_term,
+)
+from tables import cooc_of, index_of, tables
 
 
 EMPTY_RULE = TransformationRule((), "UNK")
@@ -350,6 +355,17 @@ class TestJointWeighting:
         assert out[0].dict_weights == [0.5, 0.5]
         assert out[1].dict_weights == [1.0]
 
+    def test_zero_score_term_with_formations_is_uniform_over_all_slots(self):
+        sets = [
+            TranslationCandidateSet("t1", ["ax", "ay"]),
+            TranslationCandidateSet("t2", ["bx"]),
+            TranslationCandidateSet("t3", ["nowhere"], [formation("nowhere2")]),
+        ]
+        out = joint_weights_2g(sets, AssociationModel(self.table(), JOINT))
+        assert out[0].dict_weights == pytest.approx([0.75, 0.25])
+        assert out[2].dict_weights == [0.5]
+        assert out[2].formation_weights == [0.5]
+
     def test_formations_scored_against_dictionary_only(self):
         table = cooc_of([["fb", "fa"]] * 5 + [["fa", "b"], ["a", "x"]], 2)
         sets = [
@@ -392,6 +408,13 @@ class TestBaselines:
         out = baseline_weights(self.sets(), "coll", index)
         assert out[0].dict_weights == [0.5, 0.5]
 
+    def test_collection_frequency_fallback_leaves_formations_at_zero(self):
+        index = index_of([Document("d1", "z z")])
+        out = baseline_weights(self.sets(), "coll", index)
+        assert out[0].dict_weights == [0.5, 0.5]
+        assert out[0].formation_weights == [0.0]
+        assert out[1].dict_weights == [1.0]
+
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown baseline"):
             baseline_weights(self.sets(), "idf")
@@ -399,6 +422,78 @@ class TestBaselines:
             baseline_weights(self.sets(), "coll")
         with pytest.raises(ValueError, match="no dictionary candidates"):
             baseline_weights([TranslationCandidateSet("t1", [])], "unif")
+
+
+class TestFlatWeightingMatchesPerTerm:
+    """The one-row weighting equals the term-by-term weighting bit for bit."""
+
+    def world(self, rng):
+        vocab = sorted({"".join(rng.choice("abcde") for _ in range(rng.randint(3, 5)))
+                        for _ in range(14)})
+        docs = [[rng.choice(vocab) for _ in range(rng.randint(2, 9))]
+                for _ in range(rng.randint(1, 6))]
+        index, cooc = tables(docs, rng.randint(2, 5))
+        # Words outside the collection score zero and have zero frequency.
+        words = vocab + ["zzq", "zzr", "zzs"]
+        sets = []
+        for i in range(rng.randint(1, 4)):
+            cands = rng.sample(words, rng.randint(1, 3))
+            pool = [w for w in words if w not in cands]
+            formations = [formation(w, cands[0]) for w in rng.sample(pool, rng.randint(0, 3))]
+            sets.append(TranslationCandidateSet(f"t{i}", cands, formations))
+        return index, cooc, sets
+
+    def assert_same(self, got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dict_weights == b.dict_weights
+            assert a.formation_weights == b.formation_weights
+
+    def test_every_method_on_random_worlds(self):
+        rng = random.Random(2020)
+        for _ in range(80):
+            index, cooc, sets = self.world(rng)
+            self.assert_same(init_weights(sets), init_weights_per_term(sets))
+            for method in ("itd", "2g", "unif", "top1", "coll"):
+                got = weight_candidate_sets(sets, method, index=index, cooc=cooc)
+                self.assert_same(got, weights_per_term(sets, method, index=index, cooc=cooc))
+            assoc = AssociationModel(cooc, MUTUAL_INFORMATION)
+            for max_iters, eps in ((1, 1e-300), (3, 1e-300), (50, 1e-6)):
+                got = itd_weights(init_weights(sets), assoc, max_iters, eps)
+                expected = itd_weights_per_term(init_weights_per_term(sets), assoc,
+                                                max_iters, eps)
+                self.assert_same(got.sets, expected.sets)
+                assert (got.iterations, got.converged, got.final_delta) == (
+                    expected.iterations, expected.converged, expected.final_delta)
+
+    def test_itd_on_random_edges_with_zeros(self):
+        rng = random.Random(2021)
+        for _ in range(60):
+            names = [[f"c{i}{j}" for j in range(rng.randint(1, 4))]
+                     for i in range(rng.randint(1, 4))]
+            sets = [TranslationCandidateSet(f"t{i}", row[:1 + len(row) // 2],
+                                            [formation(f) for f in row[1 + len(row) // 2:]])
+                    for i, row in enumerate(names)]
+            flat = [n for row in names for n in row]
+            assoc = StubAssociation({(a, b): rng.choice([0.0, rng.random(), 3 * rng.random()])
+                                     for a in flat for b in flat if a < b})
+            got = itd_weights(init_weights(sets), assoc)
+            expected = itd_weights_per_term(init_weights_per_term(sets), assoc)
+            self.assert_same(got.sets, expected.sets)
+            assert (got.iterations, got.converged, got.final_delta) == (
+                expected.iterations, expected.converged, expected.final_delta)
+
+    def test_coll_with_a_zero_frequency_term_beside_a_scored_one(self):
+        index, cooc = tables([["x", "x", "y"], ["y", "w"]], 2)
+        sets = [
+            TranslationCandidateSet("t1", ["x", "y"], [formation("w")]),
+            TranslationCandidateSet("t2", ["zzq", "zzr"], [formation("x")]),
+        ]
+        got = weight_candidate_sets(sets, "coll", index=index, cooc=cooc)
+        self.assert_same(got, weights_per_term(sets, "coll", index=index, cooc=cooc))
+        assert got[0].dict_weights == [0.5, 0.5]
+        assert got[1].dict_weights == [0.5, 0.5]
+        assert got[0].formation_weights == got[1].formation_weights == [0.0]
 
 
 class StubGenerator:

@@ -27,7 +27,6 @@ from affixgen.retrieval import (
     prf_mixture,
     run_queries,
     save_eval,
-    save_run,
     score_kl,
     write_run,
 )
@@ -519,7 +518,7 @@ class TestRunAndQrelsFiles:
         run = RunFile("tag", {"q1": [("d2", -1.0), ("d1", -2.5)],
                               "q2": [("d3", -0.25)]})
         path = tmp_path / "run.txt"
-        save_run(run, path)
+        write_run(run.rankings.items(), run.run_tag, path)
         loaded = load_run(path)
         assert loaded.run_tag == "tag"
         assert loaded.rankings == run.rankings
@@ -536,7 +535,7 @@ class TestRunAndQrelsFiles:
     def test_save_run_rejects_fields_it_cannot_read_back(self, tmp_path, run, bad):
         path = tmp_path / "run.txt"
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            save_run(run, path)
+            write_run(run.rankings.items(), run.run_tag, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("second", ["bad id", "raises"])
