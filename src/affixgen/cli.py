@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import corpus as corpus_mod
+from . import corpus as corpus_mod, textfiles
 from .config import (
     SECTIONS,
     ExperimentConfig,
@@ -212,9 +212,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.terms:
         terms.extend(t.strip() for t in args.terms.split(",") if t.strip())
     if args.terms_file:
-        for line in Path(args.terms_file).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                terms.append(line.strip())
+        terms.extend(line.strip() for _, line in textfiles.lines(args.terms_file))
     if not terms:
         raise ValueError("no input terms: pass --terms or --terms-file")
     index = corpus_mod.load_index(cfg.index_dir)
@@ -429,7 +427,8 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     report = "\n".join(lines)
     print(report)
     if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
+        with textfiles.replacing(args.out) as handle:
+            handle.write(report + "\n")
     return 0
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+from . import textfiles
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,7 +108,7 @@ def _parse_value(key: str, text: str):
             return True
         if lowered in ("false", "no", "off", "0"):
             return False
-        raise ValueError(f"config key {key}: not a boolean: {text!r}")
+        raise ValueError(f"not a boolean: {text!r}")
     if kind is int:
         return int(text)
     if kind is float:
@@ -134,8 +136,16 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def config_from_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    parser.read_string(text, source=source)
+    """Parse INI text; values are literal, so ``%`` needs no escaping.
+
+    Any defect raises ValueError naming ``source``, and a bad value also
+    names its section and key.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ValueError(f"{source}: {' '.join(str(exc).split())}") from None
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section not in SECTIONS:
@@ -143,23 +153,33 @@ def config_from_text(text: str, source: str = "<config>") -> ExperimentConfig:
         for key, raw in parser.items(section):
             if key not in SECTIONS[section]:
                 raise ValueError(f"{source}: unknown key {key!r} in [{section}]")
-            setattr(cfg, key, _parse_value(key, raw))
+            try:
+                setattr(cfg, key, _parse_value(key, raw))
+            except ValueError as exc:
+                raise ValueError(f"{source}: [{section}] {key}: {exc}") from None
     return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_text(Path(path).read_text(encoding="utf-8"), str(path))
+    return config_from_text(textfiles.read_text(path), str(path))
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(config_to_text(cfg), encoding="utf-8")
+    with textfiles.replacing(path) as handle:
+        handle.write(config_to_text(cfg))
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> None:
-    """Apply already-typed or string-typed overrides in place."""
+    """Apply already-typed or string-typed flag values in place.
+
+    A string that does not parse raises ValueError naming the key's flag.
+    """
     for key, value in overrides.items():
         if key not in _ALL_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(value, str) and _TYPES[key] is not str:
-            value = _parse_value(key, value)
+            try:
+                value = _parse_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
         setattr(cfg, key, value)

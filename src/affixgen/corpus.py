@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import re
 from array import array
 from bisect import bisect_left
@@ -37,6 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import textfiles
 from .config import ExperimentConfig
 
 FORMAT_VERSION = 5
@@ -61,37 +61,18 @@ class Document:
     text: str
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    """Exact-match stopword filter applied to normalized tokens."""
-
-    words: frozenset[str] = frozenset()
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def load_stopwords(path: str | Path) -> StopwordList:
+def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read one stopword per line, normalizing case like the tokenizer does."""
-    words = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
-    return StopwordList(frozenset(words))
+    return frozenset(line.strip().lower() for _, line in textfiles.lines(path))
 
 
-def tokenize(text: str, stopwords: StopwordList | None = None) -> list[str]:
+def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Split text into lowercase letter-run tokens, dropping stopwords.
 
     Token order is preserved; no stemming or other conflation is applied here.
     """
     tokens = _TOKEN_RE.findall(text.lower())
-    if stopwords is not None and len(stopwords):
+    if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens
 
@@ -330,15 +311,11 @@ class PosLexicon:
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
     """Read tab-separated ``term<TAB>tag`` lines; blank lines are skipped."""
     tags: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ValueError(f"{path}: malformed lexicon line {lineno}: {line!r}")
-            tags[fields[0]] = fields[1]
+    for lineno, line in textfiles.lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise ValueError(f"{path}: malformed lexicon line {lineno}: {line!r}")
+        tags[fields[0]] = fields[1]
     return PosLexicon(tags)
 
 
@@ -358,11 +335,10 @@ def read_documents(path: str | Path) -> list[Document]:
     ``<DOC>`` element are parsed as SGML with DOCNO and TEXT fields, anything
     else is treated as one tab-separated document per line.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("<DOC>"):
-        return _read_sgml(text, str(path))
-    return _read_tsv(text, str(path))
+    first = next(textfiles.lines(path), (0, ""))[1]
+    if first.lstrip().startswith("<DOC>"):
+        return _read_sgml(textfiles.read_text(path), str(path))
+    return _read_tsv(path)
 
 
 def _read_sgml(text: str, source: str) -> list[Document]:
@@ -381,18 +357,16 @@ def _read_sgml(text: str, source: str) -> list[Document]:
     return docs
 
 
-def _read_tsv(text: str, source: str) -> list[Document]:
+def _read_tsv(path: str | Path) -> list[Document]:
     docs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in textfiles.lines(path):
         doc_id, sep, body = line.partition("\t")
         if not sep or doc_id.split() != [doc_id]:  # run files are whitespace-separated
-            raise ValueError(f"{source}: malformed document line {lineno}: "
+            raise ValueError(f"{path}: malformed document line {lineno}: "
                              f"expected an id without whitespace, a tab, then the text")
         docs.append(Document(doc_id, body))
     if not docs:
-        raise ValueError(f"{source}: no documents found")
+        raise ValueError(f"{path}: no documents found")
     return docs
 
 
@@ -448,7 +422,8 @@ def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path
     directory.mkdir(parents=True, exist_ok=True)
     fingerprint = hashlib.sha256()
     for name in _DATA_FILES:
-        _write_atomic(directory / name, data[name])
+        with textfiles.replacing(directory / name, "wb") as handle:
+            handle.write(data[name])
         fingerprint.update(data[name])
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -460,8 +435,8 @@ def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path
         "file_bytes": {name: len(data[name]) for name in _DATA_FILES},
         "fingerprint": fingerprint.hexdigest(),
     }
-    text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    _write_atomic(directory / "index.json", text.encode("utf-8"))
+    with textfiles.replacing(directory / "index.json") as handle:
+        handle.write(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
     for stale in _STALE_FILES:
         (directory / stale).unlink(missing_ok=True)
     return manifest
@@ -487,17 +462,6 @@ def _npy_bytes(values: np.ndarray) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(values, dtype=_INT32), allow_pickle=False)
     return buffer.getvalue()
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` beside ``path`` under a temporary name, then rename it over ``path``."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 class Snapshot(NamedTuple):

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import textfiles
 from .corpus import CollectionIndex, CooccurrenceTable
 from .morphgen import (
     FormationCandidate,
@@ -58,19 +59,15 @@ class BilingualDictionary:
 def load_dictionary(path: str | Path) -> BilingualDictionary:
     """Read ``source<TAB>cand1,cand2,...`` lines; repeated sources merge."""
     entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise ValueError(f"{path}: malformed dictionary line {lineno}")
-            bucket = entries.setdefault(fields[0], [])
-            for cand in fields[1].split(","):
-                cand = cand.strip()
-                if cand and cand not in bucket:
-                    bucket.append(cand)
+    for lineno, line in textfiles.lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise ValueError(f"{path}: malformed dictionary line {lineno}")
+        bucket = entries.setdefault(fields[0], [])
+        for cand in fields[1].split(","):
+            cand = cand.strip()
+            if cand and cand not in bucket:
+                bucket.append(cand)
     return BilingualDictionary(entries)
 
 
@@ -78,18 +75,14 @@ def load_topics(path: str | Path) -> list[tuple[str, str]]:
     """Read ``query_id<TAB>title`` topic lines."""
     topics = []
     seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            qid, sep, title = line.partition("\t")
-            if not sep or not qid:
-                raise ValueError(f"{path}: malformed topic line {lineno}")
-            if qid in seen:
-                raise ValueError(f"{path}: duplicate query id {qid!r}")
-            seen.add(qid)
-            topics.append((qid, title))
+    for lineno, line in textfiles.lines(path):
+        qid, sep, title = line.partition("\t")
+        if not sep or not qid:
+            raise ValueError(f"{path}: malformed topic line {lineno}")
+        if qid in seen:
+            raise ValueError(f"{path}: duplicate query id {qid!r}")
+        seen.add(qid)
+        topics.append((qid, title))
     return topics
 
 
@@ -469,7 +462,7 @@ def save_weighted_queries(
     queries: Iterable[WeightedQuery], path: str | Path
 ) -> None:
     """Write queries as TSV: query id, term, weight, provenance."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with textfiles.replacing(path) as handle:
         for query in queries:
             for qt in query.terms:
                 handle.write(
@@ -479,24 +472,20 @@ def save_weighted_queries(
 
 def load_weighted_queries(path: str | Path) -> list[WeightedQuery]:
     queries: dict[str, WeightedQuery] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}: malformed query line {lineno}")
-            qid, term, weight, prov = fields
-            try:
-                weight = float(weight)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ValueError(f"{path}: line {lineno}: weight {fields[2]!r} "
-                                 f"is not a finite number of 0 or more")
-            query = queries.setdefault(qid, WeightedQuery(qid, []))
-            query.terms.append(QueryTerm(term, weight, prov))
+    for lineno, line in textfiles.lines(path):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}: malformed query line {lineno}")
+        qid, term, weight, prov = fields
+        try:
+            weight = float(weight)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"{path}: line {lineno}: weight {fields[2]!r} "
+                             f"is not a finite number of 0 or more")
+        query = queries.setdefault(qid, WeightedQuery(qid, []))
+        query.terms.append(QueryTerm(term, weight, prov))
     if not queries:
         raise ValueError(f"{path}: no queries found")
     return list(queries.values())

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from . import textfiles
 from .corpus import CooccurrenceTable, PosLexicon, as_tagger
 from .rules import (
     BEGIN,
@@ -220,15 +221,11 @@ def ngram_split(term: str, n: int = 5) -> list[str]:
 def load_stem_table(path: str | Path) -> Callable[[str], str]:
     """Build a stemmer from ``term<TAB>stem`` lines, identity for unknowns."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ValueError(f"{path}: malformed stem line {lineno}: {line!r}")
-            table[fields[0]] = fields[1]
+    for lineno, line in textfiles.lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise ValueError(f"{path}: malformed stem line {lineno}: {line!r}")
+        table[fields[0]] = fields[1]
     return lambda term: table.get(term, term)
 
 
@@ -236,7 +233,7 @@ def save_formations(
     candidates: Iterable[FormationCandidate], path: str | Path
 ) -> None:
     """Dump formations as TSV: source, surface, serialized rule, probability."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with textfiles.replacing(path) as handle:
         for c in candidates:
             rule_text = f"{format_actions(c.rule.actions)}@{c.rule.pos_tag}"
             handle.write(f"{c.source}\t{c.surface}\t{rule_text}\t{c.prob!r}\n")

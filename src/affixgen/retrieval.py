@@ -18,7 +18,6 @@ section 6.4) with ``math.lgamma``, so the module needs only numpy.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import textfiles
 from .corpus import CollectionIndex
 from .disambig import (
     PROV_FEEDBACK,
@@ -285,31 +285,23 @@ def write_run(
 ) -> int:
     """Write the standard six-column ranked-run format, one ranking at a time.
 
-    Each ranking is written as soon as it arrives, to a temporary file
-    beside ``path`` that replaces ``path`` once every ranking is written,
-    so memory holds one ranking however many there are. Raises
-    ``ValueError`` for an empty tag or id or one holding whitespace, which
-    ``load_run`` could not read back; then, as on any other error, the
-    temporary file is removed and ``path`` is left as it was. Returns the
-    number of rankings written.
+    Each ranking is written as soon as it arrives, through
+    ``textfiles.replacing``, so memory holds one ranking however many there
+    are. Raises ``ValueError`` for an empty tag or id or one holding
+    whitespace, which ``load_run`` could not read back; then, as on any
+    other error, ``path`` is left as it was. Returns the number of rankings
+    written.
     """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     written = 0
-    try:
-        with open(partial, "w", encoding="utf-8") as handle:
-            for qid, ranking in rankings:
-                names = [run_tag, qid, *(doc_id for doc_id, _ in ranking)]
-                if " ".join(names).split() != names:  # load_run splits on whitespace
-                    bad = next(name for name in names if name.split() != [name])
-                    raise ValueError(f"run file field {bad!r} is empty or holds whitespace")
-                handle.write("".join([f"{qid} Q0 {doc_id} {rank} {score!r} {run_tag}\n"
-                                      for rank, (doc_id, score) in enumerate(ranking, 1)]))
-                written += 1
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with textfiles.replacing(path) as handle:
+        for qid, ranking in rankings:
+            names = [run_tag, qid, *(doc_id for doc_id, _ in ranking)]
+            if " ".join(names).split() != names:  # load_run splits on whitespace
+                bad = next(name for name in names if name.split() != [name])
+                raise ValueError(f"run file field {bad!r} is empty or holds whitespace")
+            handle.write("".join([f"{qid} Q0 {doc_id} {rank} {score!r} {run_tag}\n"
+                                  for rank, (doc_id, score) in enumerate(ranking, 1)]))
+            written += 1
     return written
 
 
@@ -323,31 +315,27 @@ def load_run(path: str | Path) -> RunFile:
     rankings: dict[str, list[tuple[str, float]]] = {}
     ranked: dict[str, set[str]] = {}
     tag = "unknown"
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 6 or fields[1] != "Q0":
-                raise ValueError(f"{path}: malformed run line {lineno}")
-            qid, _, doc_id, rank, score, tag = fields
-            try:
-                rank, value = int(rank), float(score)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            bucket, docs = rankings.setdefault(qid, []), ranked.setdefault(qid, set())
-            if rank != len(bucket) + 1:
-                raise ValueError(f"{path}: rank sequence broken at line {lineno}")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: score {score!r} is not finite")
-            if bucket and value > bucket[-1][1]:
-                raise ValueError(f"{path}: scores increase at line {lineno}")
-            if doc_id in docs:
-                raise ValueError(f"{path}: line {lineno}: document {doc_id!r} "
-                                 f"is already ranked for query {qid!r}")
-            docs.add(doc_id)
-            bucket.append((doc_id, value))
+    for lineno, line in textfiles.lines(path):
+        fields = line.split()
+        if len(fields) != 6 or fields[1] != "Q0":
+            raise ValueError(f"{path}: malformed run line {lineno}")
+        qid, _, doc_id, rank, score, tag = fields
+        try:
+            rank, value = int(rank), float(score)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        bucket, docs = rankings.setdefault(qid, []), ranked.setdefault(qid, set())
+        if rank != len(bucket) + 1:
+            raise ValueError(f"{path}: rank sequence broken at line {lineno}")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: score {score!r} is not finite")
+        if bucket and value > bucket[-1][1]:
+            raise ValueError(f"{path}: scores increase at line {lineno}")
+        if doc_id in docs:
+            raise ValueError(f"{path}: line {lineno}: document {doc_id!r} "
+                             f"is already ranked for query {qid!r}")
+        docs.add(doc_id)
+        bucket.append((doc_id, value))
     if not rankings:
         raise ValueError(f"{path}: no run entries found")
     return RunFile(tag, rankings)
@@ -363,22 +351,18 @@ class Qrels:
 def load_qrels(path: str | Path) -> Qrels:
     """Read four-column qrels; positive third-column grades mean relevant."""
     relevant: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ValueError(f"{path}: malformed qrels line {lineno}")
-            qid, _, doc_id, grade = fields
-            try:
-                grade = int(grade)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            bucket = relevant.setdefault(qid, set())
-            if grade > 0:
-                bucket.add(doc_id)
+    for lineno, line in textfiles.lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise ValueError(f"{path}: malformed qrels line {lineno}")
+        qid, _, doc_id, grade = fields
+        try:
+            grade = int(grade)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        bucket = relevant.setdefault(qid, set())
+        if grade > 0:
+            bucket.add(doc_id)
     if not relevant:
         raise ValueError(f"{path}: no judgments found")
     return Qrels(relevant)
@@ -461,7 +445,7 @@ def _evaluate_query(ranking: Sequence[tuple[str, float]], rel: set[str]) -> Quer
 
 def save_eval(result: EvalResult, path: str | Path) -> None:
     """Write summary metrics and a per-query breakdown as TSV."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with textfiles.replacing(path) as handle:
         handle.write(f"map\t{result.map!r}\n")
         handle.write(f"p5\t{result.p5!r}\n")
         handle.write(f"p10\t{result.p10!r}\n")

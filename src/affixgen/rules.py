@@ -34,6 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import textfiles
 from .corpus import PosLexicon, UNKNOWN_TAG, as_tagger
 
 INSERT = "i"
@@ -318,7 +319,7 @@ def save_rules(table: RuleTable, path: str | Path) -> None:
     The ``#k_max`` header comes first, then ``#snapshot`` when the table
     records the snapshot it was mined from.
     """
-    with open(path, "w", encoding="utf-8") as handle:
+    with textfiles.replacing(path) as handle:
         handle.write(f"#k_max\t{table.k_max}\n")
         if table.snapshot:
             handle.write(f"#snapshot\t{table.snapshot}\n")
@@ -332,36 +333,32 @@ def load_rules(path: str | Path) -> RuleTable:
     counts: dict[TransformationRule, int] = {}
     stored_probs: dict[TransformationRule, float] = {}
     k_max, snapshot = 0, ""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
+    for lineno, line in textfiles.lines(path):
+        fields = line.split("\t")
+        if line.startswith("#snapshot\t"):
+            if len(fields) != 2 or not fields[1] or snapshot:
+                raise ValueError(f"{path}: line {lineno}: expected one "
+                                 f"#snapshot<TAB>fingerprint header: {line!r}")
+            snapshot = fields[1]
+            continue
+        header = line.startswith("#k_max\t")
+        if not header and len(fields) != 4:
+            raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
+        try:
+            if header:
+                if len(fields) != 2 or k_max or int(fields[1]) < 1:
+                    raise ValueError(f"expected one #k_max<TAB>integer header of 1 "
+                                     f"or more: {line!r}")
+                k_max = int(fields[1])
                 continue
-            fields = line.split("\t")
-            if line.startswith("#snapshot\t"):
-                if len(fields) != 2 or not fields[1] or snapshot:
-                    raise ValueError(f"{path}: line {lineno}: expected one "
-                                     f"#snapshot<TAB>fingerprint header: {line!r}")
-                snapshot = fields[1]
-                continue
-            header = line.startswith("#k_max\t")
-            if not header and len(fields) != 4:
-                raise ValueError(f"{path}: malformed rule line {lineno}: {line!r}")
-            try:
-                if header:
-                    if len(fields) != 2 or k_max or int(fields[1]) < 1:
-                        raise ValueError(f"expected one #k_max<TAB>integer header of 1 "
-                                         f"or more: {line!r}")
-                    k_max = int(fields[1])
-                    continue
-                count, prob = int(fields[2]), float(fields[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            rule = TransformationRule(parse_actions(fields[0]), fields[1])
-            if rule in counts:
-                raise ValueError(f"{path}: duplicate rule on line {lineno}")
-            counts[rule] = count
-            stored_probs[rule] = prob
+            count, prob = int(fields[2]), float(fields[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rule = TransformationRule(parse_actions(fields[0]), fields[1])
+        if rule in counts:
+            raise ValueError(f"{path}: duplicate rule on line {lineno}")
+        counts[rule] = count
+        stored_probs[rule] = prob
     if not counts:
         raise ValueError(f"{path}: no rules found")
     if not k_max:

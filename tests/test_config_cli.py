@@ -28,6 +28,7 @@ from affixgen.disambig import (
 )
 from affixgen.retrieval import evaluate, load_qrels, load_run
 from affixgen.config import (
+    SECTIONS,
     ExperimentConfig,
     apply_overrides,
     config_from_text,
@@ -659,6 +660,47 @@ class TestCliErrors:
         assert main(["index", "--corpus", str(corpus), "--index-dir", str(snap)]) == 1
         assert "duplicate document identifier: 'd7'" in capsys.readouterr().err
         assert not snap.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\n", "File contains no section headers."),
+        ("[pipeline]\nseed = 1\nseed = 2\n",
+         "[line 3]: option 'seed' in section 'pipeline' already exists"),
+        ("[pipeline]\nseed = 1\n[pipeline]\n", "[line 3]: section 'pipeline' already exists"),
+        ("[pipeline]\nseed = abc\n", "[pipeline] seed: invalid literal for int()"),
+        ("[retrieval]\nmu = lots\n", "[retrieval] mu: could not convert string to float"),
+        ("[pipeline]\nprf = maybe\n", "[pipeline] prf: not a boolean: 'maybe'"),
+    ])
+    def test_a_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["index", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "abc", "--seed: invalid literal for int()"),
+        ("--k-max", "2.5", "--k-max: invalid literal for int()"),
+        ("--mu", "lots", "--mu: could not convert string to float"),
+    ])
+    def test_a_bad_flag_value_names_the_flag(self, capsys, flag, value, message):
+        assert main(["index", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_percent_signs_round_trip_through_emit_config(self, tmp_path, capsys):
+        paths = {key: str(tmp_path / f"{key}%1%%(corpus)s%") for key in SECTIONS["paths"]}
+        write_corpus(Path(paths["corpus"]), [Document("d1", "kala talo")])
+        Path(paths["stopwords"]).write_text("talo\n", encoding="utf-8")
+        flags = [arg for key, value in paths.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+        assert main(["index", *flags, "--emit-config", str(first)]) == 0
+        assert load_config(first) == ExperimentConfig(**paths)
+        assert main(["index", "--config", str(first), "--emit-config", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        assert "error" not in capsys.readouterr().err
 
     def test_tuning_grid_validation(self, pipeline, capsys):
         rc = main([

@@ -17,7 +17,6 @@ from affixgen.config import ExperimentConfig
 from affixgen.corpus import (
     FORMAT_VERSION,
     Document,
-    StopwordList,
     load_cooccurrence,
     load_index,
     load_pos_lexicon,
@@ -53,7 +52,7 @@ class TestTokenize:
         assert tokenize("ab1cd ef_gh") == ["ab", "cd", "ef", "gh"]
 
     def test_stopwords_removed_order_kept(self):
-        stop = StopwordList(frozenset({"the", "a"}))
+        stop = frozenset({"the", "a"})
         assert tokenize("the cat a dog the", stop) == ["cat", "dog"]
 
     def test_empty_text(self):
