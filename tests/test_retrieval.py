@@ -538,6 +538,25 @@ class TestRunAndQrelsFiles:
             write_run(run.rankings.items(), run.run_tag, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("second", ["bad id", "raises"])
+    def test_write_run_failure_leaves_the_old_file_and_no_partial(self, tmp_path, second):
+        path = tmp_path / "run.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def rankings():
+            yield "q1", [("d1", -1.0)] * 3
+            if second == "raises":
+                raise ValueError("query 'q2' is empty")
+            yield "q2", [("d1", -1.0), ("d 2", -2.0)]
+
+        with pytest.raises(ValueError, match="'q2' is empty|'d 2'"):
+            write_run(rankings(), "tag", path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert write_run(iter([("q1", [("d1", -1.0)])]), "tag", path) == 1
+        assert path.read_text(encoding="utf-8") == "q1 Q0 d1 1 -1.0 tag\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_run_validation(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 -1.0\n", encoding="utf-8")
