@@ -154,6 +154,10 @@ def _load_optional_stopwords(path: str):
     return corpus_mod.load_stopwords(path) if path else None
 
 
+def _tagger(cfg: ExperimentConfig):
+    return corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "corpus", "index_dir")
@@ -174,8 +178,7 @@ def cmd_mine_rules(args: argparse.Namespace) -> int:
     vocab = index.vocabulary
     if not vocab:
         raise ValueError("index vocabulary is empty, nothing to mine")
-    pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
-    table = mine_rules(vocab, pos, MedConfig(k_max=cfg.k_max))
+    table = mine_rules(vocab, _tagger(cfg), MedConfig(k_max=cfg.k_max))
     if len(table) == 0:
         raise ValueError(f"no rules mined within k_max={cfg.k_max}")
     save_rules(replace(table, snapshot=index.fingerprint), cfg.rules_file)
@@ -205,6 +208,12 @@ def _noise_config(cfg: ExperimentConfig) -> NoiseFilterConfig:
     )
 
 
+def _generator(cfg: ExperimentConfig, index: corpus_mod.CollectionIndex) -> FormationGenerator:
+    """The formation generator over ``index``'s vocabulary and its rules file."""
+    return FormationGenerator(index.vocabulary, _load_rules(cfg, index), _tagger(cfg),
+                              _noise_config(cfg), MedConfig(k_max=cfg.k_max))
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "index_dir", "rules_file")
@@ -215,12 +224,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         terms.extend(line.strip() for _, line in textfiles.lines(args.terms_file))
     if not terms:
         raise ValueError("no input terms: pass --terms or --terms-file")
-    index = corpus_mod.load_index(cfg.index_dir)
-    rules = _load_rules(cfg, index)
-    pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
-    generator = FormationGenerator(
-        index.vocabulary, rules, pos, _noise_config(cfg), MedConfig(k_max=cfg.k_max)
-    )
+    generator = _generator(cfg, corpus_mod.load_index(cfg.index_dir))
     candidates = []
     for term in terms:
         candidates.extend(generator.generate(term))
@@ -283,11 +287,7 @@ def _translation_resources(cfg: ExperimentConfig):
     generator = None
     if cfg.mode == "ag":
         _require(cfg, "rules_file")
-        rules = _load_rules(cfg, index)
-        pos = corpus_mod.load_pos_lexicon(cfg.pos_lexicon) if cfg.pos_lexicon else None
-        generator = FormationGenerator(
-            index.vocabulary, rules, pos, _noise_config(cfg), MedConfig(k_max=cfg.k_max)
-        )
+        generator = _generator(cfg, index)
     stemmer = load_stem_table(cfg.stem_table) if cfg.stem_table else None
     topics = load_topics(cfg.topics)
     return topics, dictionary, index, cooc, generator, stemmer
@@ -375,8 +375,16 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     args.mode = "ag"
     cfg = effective_config(args)
     _require(cfg, "qrels")
-    taus = [float(v) for v in args.tau_grid.split(",") if v.strip()]
+    try:
+        taus = [float(v) for v in args.tau_grid.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--tau-grid: {exc}") from None
     len_grids = [g.strip() for g in args.min_len_grid.split(";") if g.strip()]
+    try:
+        for min_len in len_grids:
+            replace(cfg, min_len=min_len).min_len_map()
+    except ValueError as exc:
+        raise ValueError(f"--min-len-grid: {exc}") from None
     if not taus or not len_grids:
         raise ValueError("empty tuning grid")
     if args.folds < 2:

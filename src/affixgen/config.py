@@ -58,13 +58,21 @@ class ExperimentConfig:
 
     def min_len_map(self) -> dict[int, int]:
         """Parse the comma-separated length floors into a distance map."""
-        values = [int(v) for v in self.min_len.split(",") if v.strip()]
+        values = _min_len_values(self.min_len)
         if len(values) < self.k_max:
             raise ValueError(
                 f"min_len needs {self.k_max} entries for k_max={self.k_max}, "
                 f"got {len(values)}"
             )
         return {k + 1: v for k, v in enumerate(values)}
+
+
+def _min_len_values(text: str) -> list[int]:
+    """The integers of a comma-separated ``min_len`` value; empty entries are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 SECTIONS: dict[str, tuple[str, ...]] = {
@@ -113,6 +121,8 @@ def _parse_value(key: str, text: str):
         return int(text)
     if kind is float:
         return float(text)
+    if key == "min_len":
+        _min_len_values(text)
     return text
 
 
@@ -177,7 +187,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> None
     for key, value in overrides.items():
         if key not in _ALL_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, str) and _TYPES[key] is not str:
+        if isinstance(value, str):
             try:
                 value = _parse_value(key, value)
             except ValueError as exc:

@@ -30,7 +30,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -89,8 +89,8 @@ class CollectionIndex:
     in ``doc_tfs``. ``term_cf`` holds each term's collection frequency,
     ``id_rank`` each document's rank by id, which breaks score ties, and
     ``lengths`` equals ``length_values[length_of]`` (the distinct lengths,
-    ascending). ``postings``, ``doc_len`` and ``collection_freq`` are
-    read-only mapping views of these arrays, keyed by term and document id.
+    ascending). ``postings`` and ``doc_len`` are read-only mapping views of
+    these arrays, keyed by term and document id.
     ``fingerprint`` identifies the snapshot the index was read from.
     """
 
@@ -126,10 +126,6 @@ class CollectionIndex:
         return _View(self.doc_ids, self.doc_number, lambda d: int(self.lengths[d]))
 
     @property
-    def collection_freq(self) -> Mapping[str, int]:
-        return _View(self.terms, self.term_id, lambda t: int(self.term_cf[t]))
-
-    @property
     def vocabulary(self) -> set[str]:
         return set(self.terms)
 
@@ -148,12 +144,6 @@ class CollectionIndex:
     def cf(self, term: str) -> int:
         t = self.term_id.get(term)
         return 0 if t is None else int(self.term_cf[t])
-
-    def p_collection(self, term: str) -> float:
-        """Maximum-likelihood collection language model p(t|C)."""
-        if self.total_tokens == 0:
-            return 0.0
-        return self.cf(term) / self.total_tokens
 
 
 class _View(Mapping):
@@ -298,34 +288,15 @@ def _window_starts(
     return first, last
 
 
-@dataclass
-class PosLexicon:
-    """Term to part-of-speech mapping with an unknown-tag fallback."""
-
-    tags: dict[str, str] = field(default_factory=dict)
-
-    def tag_of(self, term: str) -> str:
-        return self.tags.get(term, UNKNOWN_TAG)
-
-
-def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    """Read tab-separated ``term<TAB>tag`` lines; blank lines are skipped."""
+def load_pos_lexicon(path: str | Path) -> Callable[[str], str]:
+    """A tagger from ``term<TAB>tag`` lines, ``UNKNOWN_TAG`` for unknown terms."""
     tags: dict[str, str] = {}
     for lineno, line in textfiles.lines(path):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise ValueError(f"{path}: malformed lexicon line {lineno}: {line!r}")
         tags[fields[0]] = fields[1]
-    return PosLexicon(tags)
-
-
-def as_tagger(pos: PosLexicon | Callable[[str], str] | None) -> Callable[[str], str]:
-    """Accept a lexicon, a plain callable, or None (everything unknown)."""
-    if pos is None:
-        return lambda term: UNKNOWN_TAG
-    if isinstance(pos, PosLexicon):
-        return pos.tag_of
-    return pos
+    return lambda term: tags.get(term, UNKNOWN_TAG)
 
 
 def read_documents(path: str | Path) -> list[Document]:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import textfiles
-from .corpus import CooccurrenceTable, PosLexicon, as_tagger
+from .corpus import UNKNOWN_TAG, CooccurrenceTable
 from .rules import (
     BEGIN,
     END,
@@ -32,8 +32,6 @@ from .rules import (
     MedConfig,
     RuleTable,
     TransformationRule,
-    _band,
-    _traceback,
     format_actions,
 )
 
@@ -112,31 +110,34 @@ class NoiseFilterConfig:
 class FormationGenerator:
     """Reusable generator over a fixed vocabulary and rule table.
 
-    The vocabulary's character-count prefilter, the one rule mining uses, is
-    built once. The first ``generate`` call for a ``(word, POS tag)`` searches
-    it: one merge of the word's per-character inverted lists plus one banded
-    alignment and traceback per survivor. It stores the word's neighbour
-    list, ``(surface, distance, rule, probability)`` for every vocabulary word
-    within ``k_max``, sorted by descending probability then surface, with one
-    rule object per distinct rule. The store is unbounded: it grows with the
-    distinct ``(word, tag)`` pairs the generator sees. Every call reads the
-    list through ``min_len`` and ``rule_prob_threshold``, which is exact
-    because tightening either only drops formations; ``with_noise`` gives a
-    generator under other thresholds that shares the store.
+    The vocabulary's ``CharSignatures`` is built once. The first
+    ``generate`` call for a ``(word, POS tag)`` runs its ``neighbours``
+    search, the one rule mining runs: one merge of the word's per-character
+    inverted lists plus one banded alignment and traceback per survivor.
+    The tag is ``generate``'s ``pos_tag`` when given, else ``tagger(word)``;
+    without a tagger every word is ``UNKNOWN_TAG``. The call stores the
+    word's neighbour list, ``(surface, distance, rule, probability)`` for
+    every vocabulary word within ``k_max``, sorted by descending probability
+    then surface, with one rule object per distinct rule. The store is
+    unbounded: it grows with the distinct ``(word, tag)`` pairs the
+    generator sees. Every call reads the list through ``min_len`` and
+    ``rule_prob_threshold``, which is exact because tightening either only
+    drops formations; ``with_noise`` gives a generator under other
+    thresholds that shares the store.
     """
 
     def __init__(
         self,
         vocab: Iterable[str],
         rules: RuleTable,
-        pos: PosLexicon | Callable[[str], str] | None = None,
+        tagger: Callable[[str], str] | None = None,
         cfg: NoiseFilterConfig | None = None,
         med: MedConfig | None = None,
     ) -> None:
         self.rules = rules
         self.cfg = cfg or NoiseFilterConfig()
         self.med = med or MedConfig(k_max=rules.k_max or 3)
-        self.tagger = as_tagger(pos)
+        self.tagger = tagger or (lambda term: UNKNOWN_TAG)
         self._check_min_len()
         self.words = sorted(set(vocab))
         self._signatures = CharSignatures(self.words)
@@ -171,17 +172,9 @@ class FormationGenerator:
 
     def _search(self, w: str, tag: str) -> list[_Neighbour]:
         """Every vocabulary word within ``k_max`` of ``w``, with its rule."""
-        k = self.med.k_max
         out = []
-        for row in self._signatures.within(w, k):
-            surface = self.words[int(row)]
-            if surface == w:
-                continue
-            band = _band(w, surface, k)
-            if band is None:
-                continue
-            d, rows = band
-            rule = TransformationRule(_traceback(w, surface, rows, k), tag)
+        for surface, d, actions in self._signatures.neighbours(w, self.med.k_max):
+            rule = TransformationRule(actions, tag)
             rule = self._interned.setdefault(rule, rule)
             out.append((surface, d, rule, self.rules.prob(rule)))
         out.sort(key=lambda n: (-n[3], n[0]))

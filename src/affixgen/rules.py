@@ -12,7 +12,9 @@ rows, the rule. One character-count prefilter (``CharSignatures``) narrows
 the vocabulary to the words that can lie within ``k`` before any alignment
 runs; it reads per-character inverted lists, so a query costs the length
 of its characters' lists rather than vocabulary size times alphabet size.
-Rule mining and formation generation share both.
+``CharSignatures.neighbours`` runs the prefilter, the band and the
+traceback together, and it is the one vocabulary search: rule mining and
+formation generation both call it.
 
 Each action records its operation, the character involved, and a coarse
 position. Positions are judged in the alignment's left-to-right order:
@@ -30,12 +32,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import textfiles
-from .corpus import PosLexicon, UNKNOWN_TAG, as_tagger
+from .corpus import UNKNOWN_TAG
 
 INSERT = "i"
 DELETE = "d"
@@ -166,10 +168,11 @@ _CUT_LISTS_OVER = 1024  # rows
 
 
 class CharSignatures:
-    """Inverted character-count lists of a word list, for the indel prefilter.
+    """Inverted character-count lists of a word list, and its indel search.
 
     The L1 distance between two words' character counts never exceeds their
-    indel distance, so ``within`` keeps every word a distance search needs.
+    indel distance, so ``within`` keeps every word a distance search needs,
+    and ``neighbours`` aligns only the words it keeps.
     For each character c and each j >= 1, the ascending rows holding at least
     j copies of c are kept; merging w's lists (ScanCount) gives each row's
     multiset overlap with w, and L1 = len(s) + len(w) - 2 * overlap. This is
@@ -177,6 +180,7 @@ class CharSignatures:
     """
 
     def __init__(self, words: Sequence[str]) -> None:
+        self.words = words
         lists: dict[tuple[str, int], list[int]] = {}
         for row, word in enumerate(words):
             seen: dict[str, int] = {}
@@ -204,6 +208,24 @@ class CharSignatures:
         excess = self._lens[start:] - 2 * overlap[start:]
         return np.nonzero(excess <= k - len(w))[0] + start
 
+    def neighbours(self, w: str, k: int, start: int = 0
+                   ) -> Iterator[tuple[str, int, tuple[Action, ...]]]:
+        """``(word, distance, actions)`` for each word within indel distance ``k``.
+
+        Words are taken from row ``start`` on, in row order, and ``w`` itself
+        is skipped. Each survivor of ``within`` gets one banded alignment;
+        the actions turning ``w`` into the word are traced back over its rows.
+        """
+        words = self.words
+        for row in self.within(w, k, start).tolist():
+            other = words[row]
+            if other == w:
+                continue
+            band = _band(w, other, k)
+            if band is not None:
+                d, rows = band
+                yield other, d, _traceback(w, other, rows, k)
+
 
 @dataclass
 class RuleTable:
@@ -225,9 +247,6 @@ class RuleTable:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def __contains__(self, rule: TransformationRule) -> bool:
-        return rule in self.counts
 
     def prob(self, rule: TransformationRule) -> float:
         return self.probs.get(rule, 0.0)
@@ -252,21 +271,23 @@ def score_rules(counts: dict[TransformationRule, int], k_max: int) -> RuleTable:
 
 def mine_rules(
     vocab: Iterable[str],
-    pos: PosLexicon | Callable[[str], str] | None = None,
+    tagger: Callable[[str], str] | None = None,
     config: MedConfig | None = None,
 ) -> RuleTable:
     """Mine transformation rules from every vocabulary pair within ``k_max``.
 
     Every ordered pair of distinct words whose indel distance lies in
     ``[1, k_max]`` contributes one count to its extracted rule (type
-    frequency). Pairs are pruned with the character-count prefilter, then
-    one banded alignment per pair gives its distance and its forward rule;
-    the reverse rule is read off a second band of that distance's width.
-    Neither filter can drop a pair the exhaustive scan would keep.
+    frequency), tagged with its source word's POS by ``tagger`` (every
+    word ``UNKNOWN_TAG`` without one). Each word's later partners, with
+    the distance and forward rule of each, come from
+    ``CharSignatures.neighbours``; the reverse rule is read off a second
+    band of that distance's width. Neither filter of the search can drop a
+    pair the exhaustive scan would keep.
     """
     config = config or MedConfig()
     words = sorted(set(vocab))
-    tagger = as_tagger(pos)
+    tagger = tagger or (lambda term: UNKNOWN_TAG)
     k = config.k_max
     counts: Counter[TransformationRule] = Counter()
     if len(words) < 2 or k < 1:
@@ -274,13 +295,8 @@ def mine_rules(
 
     signatures = CharSignatures(words)
     for row, a in enumerate(words[:-1]):
-        for other in signatures.within(a, k, start=row + 1):
-            b = words[int(other)]
-            band = _band(a, b, k)
-            if band is None:
-                continue
-            d, rows = band
-            counts[TransformationRule(_traceback(a, b, rows, k), tagger(a))] += 1
+        for b, d, actions in signatures.neighbours(a, k, start=row + 1):
+            counts[TransformationRule(actions, tagger(a))] += 1
             _, back = _band(b, a, d)
             counts[TransformationRule(_traceback(b, a, back, d), tagger(b))] += 1
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from affixgen.corpus import (
     Document,
-    PosLexicon,
     tokenize,
 )
 from affixgen.disambig import (
@@ -132,14 +131,12 @@ def test_criterion_3_mining_matches_unpruned_bruteforce():
     for alphabet, size, tags in cases:
         vocab = {rand_word(rng, alphabet, 2, 8) for _ in range(size)}
         assert len(vocab) <= 200
-        lexicon = None
+        tagger = None
         if tags:
-            lexicon = PosLexicon(
-                {w: rng.choice(tags) for w in list(vocab)[:: 2]}
-            )
-        table = mine_rules(vocab, lexicon)
-        tagger = lexicon.tag_of if lexicon else (lambda w: "UNK")
-        counts, probs = mine_rules_bruteforce(vocab, tagger, 3)
+            lexicon = {w: rng.choice(tags) for w in list(vocab)[:: 2]}
+            tagger = lambda w: lexicon.get(w, "UNK")
+        table = mine_rules(vocab, tagger)
+        counts, probs = mine_rules_bruteforce(vocab, tagger or (lambda w: "UNK"), 3)
         assert table.counts == dict(counts)
         assert table.probs == probs
         assert abs(sum(table.probs.values()) - 1.0) <= 1e-9
@@ -491,12 +488,12 @@ def test_criterion_10_feedback_model_is_exact_mle():
         for _ in range(300):
             tokens = [rng.choice("abcdefghijkl") for _ in range(rng.randint(5, 80))]
             index = index_of([Document("d", " ".join(tokens))])
-            vocab = sorted(index.collection_freq)
+            vocab = index.terms
             counts = {
                 t: rng.randint(1, 12)
                 for t in rng.sample(vocab, rng.randint(1, min(10, len(vocab))))
             }
-            p_coll = {t: index.p_collection(t) for t in counts}
+            p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
             probs = feedback_probs(counts, index, noise)
             assert set(probs) <= set(counts)
             assert all(p > 0.0 for p in probs.values())

@@ -13,7 +13,7 @@ import scipy.stats
 
 import affixgen
 from affixgen.cli import build_parser, main
-from affixgen import corpus, disambig, morphgen
+from affixgen import cli, corpus, disambig, morphgen
 from affixgen.corpus import (
     Document,
     load_cooccurrence,
@@ -669,6 +669,8 @@ class TestCliErrors:
         ("[pipeline]\nseed = abc\n", "[pipeline] seed: invalid literal for int()"),
         ("[retrieval]\nmu = lots\n", "[retrieval] mu: could not convert string to float"),
         ("[pipeline]\nprf = maybe\n", "[pipeline] prf: not a boolean: 'maybe'"),
+        ("[noise]\nmin_len = 4,x,6\n",
+         "[noise] min_len: not a comma-separated list of integers: '4,x,6'"),
     ])
     def test_a_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "exp.ini"
@@ -682,12 +684,15 @@ class TestCliErrors:
         ("--seed", "abc", "--seed: invalid literal for int()"),
         ("--k-max", "2.5", "--k-max: invalid literal for int()"),
         ("--mu", "lots", "--mu: could not convert string to float"),
+        ("--min-len", "4,x,6", "--min-len: not a comma-separated list of integers: '4,x,6'"),
     ])
-    def test_a_bad_flag_value_names_the_flag(self, capsys, flag, value, message):
-        assert main(["index", flag, value]) == 1
+    def test_a_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        emitted = tmp_path / "e.ini"
+        assert main(["index", flag, value, "--emit-config", str(emitted)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+        assert not emitted.exists()
 
     def test_percent_signs_round_trip_through_emit_config(self, tmp_path, capsys):
         paths = {key: str(tmp_path / f"{key}%1%%(corpus)s%") for key in SECTIONS["paths"]}
@@ -714,6 +719,32 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau-grid", "0.01,abc", "--tau-grid: could not convert string to float: 'abc'"),
+        ("--min-len-grid", "4,5,6;4,x,6",
+         "--min-len-grid: not a comma-separated list of integers: '4,x,6'"),
+        ("--min-len-grid", "4,5,6;4,5", "--min-len-grid: min_len needs 3 entries"),
+    ])
+    def test_a_bad_tuning_grid_entry_names_its_flag(self, pipeline, capsys, monkeypatch,
+                                                    flag, value, message):
+        # Every entry is read before the first grid point runs.
+        runs = []
+        monkeypatch.setattr(cli, "run_queries", lambda *a, **k: runs.append(a))
+        rc = main([
+            "tune-thresholds",
+            "--dictionary", pipeline.paths["dictionary"],
+            "--topics", pipeline.paths["topics"],
+            "--index-dir", pipeline.index_dir,
+            "--rules-file", pipeline.rules_file,
+            "--qrels", pipeline.paths["qrels"],
+            flag, value,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert runs == []
 
 
 BOOL_KEYS = [f.name for f in fields(ExperimentConfig)

@@ -92,7 +92,7 @@ class TestCollectionIndex:
             ]
             index = index_of(docs)
             postings, doc_len, collection_freq = index_bruteforce(token_stream(docs))
-            assert (index.postings, index.doc_len, index.collection_freq) == (
+            assert (index.postings, index.doc_len, {t: index.cf(t) for t in index.terms}) == (
                 postings, doc_len, collection_freq)
             assert sum(index.doc_len.values()) == index.total_tokens
             for term in index.vocabulary:
@@ -233,9 +233,9 @@ class TestPosLexicon:
     def test_load_and_fallback(self, tmp_path):
         path = tmp_path / "pos.tsv"
         path.write_text("cat\tN\nrun\tV\n\n", encoding="utf-8")
-        lex = load_pos_lexicon(path)
-        assert lex.tag_of("cat") == "N"
-        assert lex.tag_of("dog") == "UNK"
+        tagger = load_pos_lexicon(path)
+        assert tagger("cat") == "N"
+        assert tagger("dog") == "UNK"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "pos.tsv"
@@ -246,8 +246,7 @@ class TestPosLexicon:
     def test_empty_file_means_all_unknown(self, tmp_path):
         path = tmp_path / "pos.tsv"
         path.write_text("", encoding="utf-8")
-        lex = load_pos_lexicon(path)
-        assert lex.tag_of("anything") == "UNK"
+        assert load_pos_lexicon(path)("anything") == "UNK"
 
 
 class TestDocumentReaders:
@@ -403,7 +402,7 @@ class TestSnapshots:
         assert loaded.postings == postings
         assert loaded.doc_len == doc_len
         assert list(loaded.doc_len) == ["d1", "d0", "d2"]
-        assert loaded.collection_freq == collection_freq
+        assert {t: loaded.cf(t) for t in loaded.terms} == collection_freq
         assert loaded.total_tokens == sum(doc_len.values()) == 10
 
         # The same documents give the same bytes, written afresh or over a snapshot.

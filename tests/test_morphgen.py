@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from affixgen import morphgen
-from affixgen.corpus import PosLexicon
+from affixgen import rules as rules_mod
 from affixgen.disambig import BilingualDictionary, build_candidate_sets
 from affixgen.morphgen import (
     FormationCandidate,
@@ -128,11 +127,11 @@ class TestFormationGenerator:
         assert [c.surface for c in got] == ["halc", "ahal", "bhal"]
 
     def test_pos_tags_route_rule_lookup(self):
-        lex = PosLexicon({"cat": "N"})
+        tagger = lambda w: {"cat": "N"}.get(w, "UNK")
         plural_n = rule_of(("i", "e", "s"), tag="N")
         rules = table_of([(plural_n, 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.5, min_len={1: 1, 2: 1, 3: 1})
-        got = FormationGenerator({"cat", "cats"}, rules, lex, cfg).generate("cat")
+        got = FormationGenerator({"cat", "cats"}, rules, tagger, cfg).generate("cat")
         assert [c.rule for c in got] == [plural_n]
         # Without the lexicon the word tags UNK and the N-only rule never fires.
         assert FormationGenerator({"cat", "cats"}, rules, cfg=cfg).generate("cat") == []
@@ -186,10 +185,10 @@ class TestFormationGenerator:
 
     def test_each_word_and_tag_is_searched_once(self, monkeypatch):
         searches, bands = [], []
-        within, band = CharSignatures.within, morphgen._band
-        monkeypatch.setattr(CharSignatures, "within",
-                            lambda self, w, k: searches.append(w) or within(self, w, k))
-        monkeypatch.setattr(morphgen, "_band", lambda *a: bands.append(a) or band(*a))
+        within, band = CharSignatures.within, rules_mod._band
+        monkeypatch.setattr(CharSignatures, "within", lambda self, w, k, start:
+                            searches.append(w) or within(self, w, k, start))
+        monkeypatch.setattr(rules_mod, "_band", lambda *a: bands.append(a) or band(*a))
         plural, plural_n = rule_of(("i", "e", "s")), rule_of(("i", "e", "s"), tag="N")
         rules = table_of([(plural, 1), (plural_n, 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})

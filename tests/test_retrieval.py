@@ -282,7 +282,7 @@ class TestArraysMatchDictOracles:
             k = rng.randint(1, 3)
             counts = {t: k * cf[t] if rng.random() < 0.5 else rng.randint(1, 20)
                       for t in counted}
-            p_coll = {t: index.p_collection(t) for t in counts}
+            p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
             ratios = [-counts[t] / p_coll[t] for t in counts]
             ties += len(ratios) - len(set(ratios))
             expected = feedback_model_dicts(counts, p_coll, noise)
@@ -296,8 +296,9 @@ class TestArraysMatchDictOracles:
         support, probs = feedback_model(ids, np.array([2, 4, 1], dtype=np.int64), index, 0.5)
         # c/q: a 14, b 14, c 1.75; a and b tie and keep id order.
         assert [index.terms[t] for t in support.tolist()] == ["a", "b"]
+        p_coll = {t: index.cf(t) / index.total_tokens for t in "abc"}
         assert probs.tolist() == list(feedback_model_dicts(
-            {"a": 2, "b": 4, "c": 1}, {t: index.p_collection(t) for t in "abc"}, 0.5).values())
+            {"a": 2, "b": 4, "c": 1}, p_coll, 0.5).values())
 
     def test_feedback_counts_match_on_random_rankings(self):
         # Rankings shorter and longer than prf_docs, repeated documents,
@@ -338,7 +339,7 @@ def assert_exact_mle(counts, index, noise, em_ll):
     digits when r = noise / (1 - noise) is near 1e6, about r * 2.2e-16.
     """
     probs = feedback_probs(counts, index, noise)
-    p_coll = {t: index.p_collection(t) for t in counts}
+    p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
     assert set(probs) <= set(counts)
     assert all(p > 0.0 for p in probs.values())
     assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -376,9 +377,9 @@ class TestFeedback:
             index = index_of(docs)
             counts = {
                 t: rng.randint(1, 6)
-                for t in rng.sample(sorted(index.collection_freq), 4)
+                for t in rng.sample(index.terms, 4)
             }
-            p_coll = {t: index.p_collection(t) for t in counts}
+            p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
             _, history, converged = feedback_model_em(
                 counts, p_coll, noise=rng.uniform(0.1, 0.9)
             )
@@ -392,12 +393,12 @@ class TestFeedback:
         for _ in range(40):
             docs = random_collection(rng, num_docs=6, vocab="abcdefghij", max_len=15)
             index = index_of(docs)
-            vocab = sorted(index.collection_freq)
+            vocab = index.terms
             counts = {
                 t: rng.randint(1, 9)
                 for t in rng.sample(vocab, rng.randint(1, min(8, len(vocab))))
             }
-            p_coll = {t: index.p_collection(t) for t in counts}
+            p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
             _, history, converged = feedback_model_em(counts, p_coll, noise)
             assert converged
             assert_exact_mle(counts, index, noise, history[-1])
@@ -423,7 +424,7 @@ class TestFeedback:
             [Document(t, " ".join([t] * n)) for t, n in sorted(cf.items())]
         )
         assert feedback_probs(counts, index, noise) == pytest.approx(expected, abs=1e-9)
-        p_coll = {t: index.p_collection(t) for t in counts}
+        p_coll = {t: index.cf(t) / index.total_tokens for t in counts}
         _, history, converged = feedback_model_em(counts, p_coll, noise)
         assert converged
         assert_exact_mle(counts, index, noise, history[-1])

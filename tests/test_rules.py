@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from affixgen.corpus import PosLexicon
 from affixgen.morphgen import apply_rule
 from affixgen.rules import (
     Action,
@@ -171,6 +170,21 @@ class TestCharSignatures:
             self.assert_matches_dense(words, w, 3, start=len(words))
             assert CharSignatures(words).within(w, 3, len(words)).tolist() == []
 
+    def test_neighbours_match_bruteforce(self):
+        # Unsorted lists with repeats, so row order and the skip of ``w`` show.
+        rng = random.Random(13)
+        for _ in range(30):
+            alphabet = rng.choice(["ab", "abcde", "aäöüß"])
+            words = [random_word(rng, alphabet, 0, 8) for _ in range(rng.randint(1, 25))]
+            sigs = CharSignatures(words)
+            for w in [*words[::4], random_word(rng, alphabet + "x", 0, 8)]:
+                found = [(s, indel_distance(w, s), extract_rule(w, s).actions)
+                         for s in words]
+                for k in range(4):
+                    for start in range(len(words) + 1):
+                        expected = [n for n in found[start:] if n[0] != w and n[1] <= k]
+                        assert list(sigs.neighbours(w, k, start)) == expected
+
     def test_short_words_without_a_shared_character(self):
         # No overlap at all: only len(w) + len(s) <= k keeps a row.
         words = ["a", "bc", "d", "efg", "h"]
@@ -274,8 +288,8 @@ class TestMineRules:
         assert math.isclose(sum(table.probs.values()), 1.0, abs_tol=1e-9)
 
     def test_pos_tags_split_rules(self):
-        lex = PosLexicon({"cat": "N", "mat": "X"})
-        table = mine_rules({"cat", "cats", "mat", "mats"}, lex)
+        tags = {"cat": "N", "mat": "X"}
+        table = mine_rules({"cat", "cats", "mat", "mats"}, lambda w: tags.get(w, "UNK"))
         plural_n = TransformationRule((Action("i", "e", "s"),), "N")
         plural_x = TransformationRule((Action("i", "e", "s"),), "X")
         assert table.counts[plural_n] == 1
@@ -284,9 +298,10 @@ class TestMineRules:
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(11)
         words = {random_word(rng, "abcde", 2, 7) for _ in range(80)}
-        lex = PosLexicon({w: rng.choice("NV") for w in list(words)[::3]})
-        table = mine_rules(words, lex)
-        counts, probs = mine_rules_bruteforce(words, lex.tag_of, 3)
+        tags = {w: rng.choice("NV") for w in list(words)[::3]}
+        tagger = lambda w: tags.get(w, "UNK")
+        table = mine_rules(words, tagger)
+        counts, probs = mine_rules_bruteforce(words, tagger, 3)
         assert table.counts == dict(counts)
         assert table.probs == probs
         assert math.isclose(sum(table.probs.values()), 1.0, abs_tol=1e-9)

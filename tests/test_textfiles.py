@@ -22,6 +22,11 @@ def load_stems(path):
     return [stem(word) for word in ("gatos", "perros", "luna")]
 
 
+def load_tags(path):
+    tagger = corpus.load_pos_lexicon(path)
+    return [tagger(word) for word in ("gato", "correr", "luna")]
+
+
 # One small file of each kind the program reads, and the loader that reads it.
 LOADERS = {
     "dictionary": ("cat\tgato,felino\ndog\tperro\n", disambig.load_dictionary),
@@ -30,7 +35,7 @@ LOADERS = {
     "sgml corpus": ("<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>gato perro</TEXT>\n</DOC>\n",
                     read_documents),
     "stopwords": ("the\nand\n", corpus.load_stopwords),
-    "pos lexicon": ("gato\tN\ncorrer\tV\n", corpus.load_pos_lexicon),
+    "pos lexicon": ("gato\tN\ncorrer\tV\n", load_tags),
     "stem table": ("gatos\tgato\nperros\tperro\n", load_stems),
     "weighted queries": ("q1\tgato\t0.75\tdictionary\nq1\tgatos\t0.25\tformation\n",
                          disambig.load_weighted_queries),
@@ -271,3 +276,15 @@ def test_only_textfiles_opens_files():
     found = set().union(*(file_calls(path) for path in sorted(src.glob("*.py"))
                           if path.name != "textfiles.py"))
     assert found == SNAPSHOT_READS
+
+
+def test_no_module_imports_private_names():
+    # A name behind an underscore is its module's own; another module that
+    # needs it should call what the owner makes public.
+    src = Path(textfiles.__file__).parent
+    found = {(path.name, node.module, alias.name)
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name.startswith("_")}
+    assert found == set()
