@@ -2,9 +2,11 @@
 evaluate, and tune noise thresholds.
 
 Every value in ExperimentConfig is settable from a config file and
-overridable with a same-named flag. All commands accept --emit-config to
-write the effective configuration they ran with; the emitted file reloads
-to the identical configuration.
+overridable with a same-named flag; a value the typed settings refuse fails
+before anything is written. All commands accept --emit-config to write the
+effective configuration they ran with; the emitted file reloads to the
+identical configuration. Each command reads its snapshot once and builds
+only the tables it uses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod, textfiles
@@ -139,9 +141,33 @@ def effective_config(args: argparse.Namespace) -> ExperimentConfig:
             if value is not None:
                 overrides[key] = value
     apply_overrides(cfg, overrides)
+    _check_settings(cfg, overrides, args.config)
     if args.emit_config:
         save_config(cfg, args.emit_config)
     return cfg
+
+
+def _settings(kind, cfg: ExperimentConfig):
+    """``kind`` filled from the ``cfg`` keys of its fields' names."""
+    return kind(**{f.name: cfg.min_len_map() if f.name == "min_len" else getattr(cfg, f.name)
+                   for f in fields(kind)})
+
+
+def _check_settings(cfg: ExperimentConfig, flags: dict, source: str | None) -> None:
+    """Refuse each value a typed setting refuses, naming its flag or its file and key.
+
+    Each key is checked alone, over the defaults with ``k_max`` 0: the
+    ``min_len`` entry count, a rule between two keys, is checked at use.
+    """
+    for kind in (MedConfig, NoiseFilterConfig, RetrievalConfig):
+        for key in (f.name for f in fields(kind)):
+            try:
+                _settings(kind, replace(ExperimentConfig(k_max=0), **{key: getattr(cfg, key)}))
+            except ValueError as exc:
+                section = next(name for name, keys in SECTIONS.items() if key in keys)
+                where = (f"--{key.replace('_', '-')}" if key in flags
+                         else f"{source}: [{section}] {key}")
+                raise ValueError(f"{where}: {exc}") from None
 
 
 def _require(cfg: ExperimentConfig, *keys: str) -> None:
@@ -174,44 +200,36 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_mine_rules(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "index_dir", "rules_file")
-    index = corpus_mod.load_index(cfg.index_dir)
-    vocab = index.vocabulary
+    snapshot = corpus_mod.read_snapshot(cfg.index_dir)
+    vocab = snapshot.terms
     if not vocab:
         raise ValueError("index vocabulary is empty, nothing to mine")
-    table = mine_rules(vocab, _tagger(cfg), MedConfig(k_max=cfg.k_max))
+    table = mine_rules(vocab, _tagger(cfg), _settings(MedConfig, cfg))
     if len(table) == 0:
         raise ValueError(f"no rules mined within k_max={cfg.k_max}")
-    save_rules(replace(table, snapshot=index.fingerprint), cfg.rules_file)
+    save_rules(replace(table, snapshot=snapshot.manifest["fingerprint"]), cfg.rules_file)
     print(f"mined {len(table)} rules from {len(vocab)} terms "
           f"(total pair count {table.total_count})")
     return 0
 
 
-def _load_rules(cfg: ExperimentConfig, index: corpus_mod.CollectionIndex) -> RuleTable:
-    """The rules file, refused unless it was mined from the snapshot in ``index_dir``."""
+def _load_rules(cfg: ExperimentConfig, snapshot: corpus_mod.Snapshot) -> RuleTable:
+    """The rules file, refused unless it was mined from ``snapshot``, read from ``index_dir``."""
     rules = load_rules(cfg.rules_file)
-    if rules.snapshot != index.fingerprint:
+    fingerprint = snapshot.manifest["fingerprint"]
+    if rules.snapshot != fingerprint:
         manifest = Path(cfg.index_dir) / "index.json"
         raise ValueError(
             f"rules file {cfg.rules_file} records snapshot "
-            f"{rules.snapshot or '(none)'}, but {manifest} is snapshot {index.fingerprint}; "
+            f"{rules.snapshot or '(none)'}, but {manifest} is snapshot {fingerprint}; "
             f"re-run `affixgen mine-rules` on {cfg.index_dir}")
     return rules
 
 
-def _noise_config(cfg: ExperimentConfig) -> NoiseFilterConfig:
-    return NoiseFilterConfig(
-        rule_prob_threshold=cfg.rule_prob_threshold,
-        min_len=cfg.min_len_map(),
-        context_window=cfg.context_window,
-        require_context=cfg.require_context,
-    )
-
-
-def _generator(cfg: ExperimentConfig, index: corpus_mod.CollectionIndex) -> FormationGenerator:
-    """The formation generator over ``index``'s vocabulary and its rules file."""
-    return FormationGenerator(index.vocabulary, _load_rules(cfg, index), _tagger(cfg),
-                              _noise_config(cfg), MedConfig(k_max=cfg.k_max))
+def _generator(cfg: ExperimentConfig, snapshot: corpus_mod.Snapshot) -> FormationGenerator:
+    """The formation generator over ``snapshot``'s vocabulary and its rules file."""
+    return FormationGenerator(snapshot.terms, _load_rules(cfg, snapshot), _tagger(cfg),
+                              _settings(NoiseFilterConfig, cfg), _settings(MedConfig, cfg))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -224,7 +242,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         terms.extend(line.strip() for _, line in textfiles.lines(args.terms_file))
     if not terms:
         raise ValueError("no input terms: pass --terms or --terms-file")
-    generator = _generator(cfg, corpus_mod.load_index(cfg.index_dir))
+    generator = _generator(cfg, corpus_mod.read_snapshot(cfg.index_dir))
     candidates = []
     for term in terms:
         candidates.extend(generator.generate(term))
@@ -233,45 +251,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_queries(
-    cfg: ExperimentConfig,
-    topics: list[tuple[str, str]],
-    dictionary: BilingualDictionary,
-    index,
-    cooc,
-    generator,
-    stemmer,
-) -> list[WeightedQuery]:
-    source_stop = _load_optional_stopwords(cfg.source_stopwords)
+def _build_queries(cfg: ExperimentConfig, topics: list[tuple[str, list[str]]],
+                   **inputs) -> list[WeightedQuery]:
+    """Each topic's weighted query; ``inputs`` are ``build_weighted_query``'s tables."""
     queries = []
-    for qid, title in topics:
-        terms = corpus_mod.tokenize(title, source_stop)
+    for qid, terms in topics:
         if not terms:
             print(f"warning: query {qid} has no terms after tokenization",
                   file=sys.stderr)
             continue
-        queries.append(
-            build_weighted_query(
-                qid,
-                terms,
-                dictionary,
-                mode=cfg.mode,
-                weighting=cfg.weighting,
-                index=index,
-                cooc=cooc,
-                generator=generator,
-                stemmer=stemmer,
-                ngram_n=cfg.ngram_n,
-                itd_max_iters=cfg.itd_max_iters,
-                itd_eps=cfg.itd_eps,
-            )
-        )
+        queries.append(build_weighted_query(
+            qid, terms, mode=cfg.mode, weighting=cfg.weighting, ngram_n=cfg.ngram_n,
+            itd_max_iters=cfg.itd_max_iters, itd_eps=cfg.itd_eps, **inputs))
     if not queries:
         raise ValueError("no usable queries in the topics file")
     return queries
 
 
 def _translation_resources(cfg: ExperimentConfig):
+    """The tokenized topics, the snapshot and ``_build_queries``' inputs, each read once."""
     _require(cfg, "topics", "index_dir")
     if cfg.monolingual:
         dictionary = BilingualDictionary({})
@@ -279,47 +277,39 @@ def _translation_resources(cfg: ExperimentConfig):
         _require(cfg, "dictionary")
         dictionary = load_dictionary(cfg.dictionary)
     snapshot = corpus_mod.read_snapshot(cfg.index_dir)
-    index = snapshot.collection_index()
     needs_cooc = cfg.weighting in ("itd", "2g") or (
         cfg.mode == "ag" and cfg.require_context
     )
-    cooc = snapshot.cooccurrence(cfg.context_window) if needs_cooc else None
+    cooc = corpus_mod.CooccurrenceTable(snapshot, cfg.context_window) if needs_cooc else None
     generator = None
     if cfg.mode == "ag":
         _require(cfg, "rules_file")
-        generator = _generator(cfg, index)
+        generator = _generator(cfg, snapshot)
     stemmer = load_stem_table(cfg.stem_table) if cfg.stem_table else None
     topics = load_topics(cfg.topics)
-    return topics, dictionary, index, cooc, generator, stemmer
+    source_stop = _load_optional_stopwords(cfg.source_stopwords)
+    topics = [(qid, corpus_mod.tokenize(title, source_stop)) for qid, title in topics]
+    return topics, snapshot, {"dictionary": dictionary, "cooc": cooc, "generator": generator,
+                              "stemmer": stemmer}
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    topics, dictionary, index, cooc, generator, stemmer = _translation_resources(cfg)
-    queries = _build_queries(cfg, topics, dictionary, index, cooc, generator, stemmer)
+    topics, snapshot, inputs = _translation_resources(cfg)
+    index = corpus_mod.CollectionIndex(snapshot) if cfg.weighting == "coll" else None
+    queries = _build_queries(cfg, topics, index=index, **inputs)
     save_weighted_queries(queries, args.out)
     print(f"translated {len(queries)} queries "
           f"(mode={cfg.mode}, weighting={cfg.weighting})")
     return 0
 
 
-def _retrieval_config(cfg: ExperimentConfig) -> RetrievalConfig:
-    return RetrievalConfig(
-        mu=cfg.mu,
-        top_k=cfg.top_k,
-        prf_docs=cfg.prf_docs,
-        prf_terms=cfg.prf_terms,
-        prf_lambda=cfg.prf_lambda,
-        prf_noise=cfg.prf_noise,
-    )
-
-
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _require(cfg, "index_dir")
-    index = corpus_mod.load_index(cfg.index_dir)
+    index = corpus_mod.CollectionIndex(corpus_mod.read_snapshot(cfg.index_dir))
     queries = load_weighted_queries(args.queries)
-    rankings = rank_queries(queries, index, _retrieval_config(cfg), prf=cfg.prf)
+    rankings = rank_queries(queries, index, _settings(RetrievalConfig, cfg), prf=cfg.prf)
     written = write_run(rankings, cfg.run_tag, args.out)
     print(f"ranked {written} queries into {args.out}")
     return 0
@@ -377,12 +367,14 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     _require(cfg, "qrels")
     try:
         taus = [float(v) for v in args.tau_grid.split(",") if v.strip()]
+        for tau in taus:  # alone, as the grid replaces cfg's min_len
+            _settings(NoiseFilterConfig, ExperimentConfig(rule_prob_threshold=tau))
     except ValueError as exc:
         raise ValueError(f"--tau-grid: {exc}") from None
     len_grids = [g.strip() for g in args.min_len_grid.split(";") if g.strip()]
     try:
         for min_len in len_grids:
-            replace(cfg, min_len=min_len).min_len_map()
+            _settings(NoiseFilterConfig, replace(cfg, min_len=min_len))
     except ValueError as exc:
         raise ValueError(f"--min-len-grid: {exc}") from None
     if not taus or not len_grids:
@@ -390,22 +382,23 @@ def cmd_tune_thresholds(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ValueError("tuning needs at least 2 folds")
     qrels = load_qrels(cfg.qrels)
-    topics, dictionary, index, cooc, base, stemmer = _translation_resources(cfg)
+    topics, snapshot, inputs = _translation_resources(cfg)
+    index = corpus_mod.CollectionIndex(snapshot)
 
-    usable = [(qid, title) for qid, title in topics if qrels.relevant.get(qid)]
+    usable = [(qid, terms) for qid, terms in topics if qrels.relevant.get(qid)]
     if len(usable) < args.folds:
         raise ValueError("not enough judged topics to form folds")
     order = list(usable)
     random.Random(cfg.seed).shuffle(order)
     folds = [order[i :: args.folds] for i in range(args.folds)]
 
-    rcfg = _retrieval_config(cfg)
+    rcfg = _settings(RetrievalConfig, cfg)
 
     def run_map(topic_subset, tau: float, min_len: str) -> float:
         variant = replace(cfg, rule_prob_threshold=tau, min_len=min_len)
-        generator = base.with_noise(_noise_config(variant))
-        queries = _build_queries(variant, topic_subset, dictionary, index, cooc,
-                                 generator, stemmer)
+        generator = inputs["generator"].with_noise(_settings(NoiseFilterConfig, variant))
+        queries = _build_queries(variant, topic_subset, **dict(inputs, index=index,
+                                                                generator=generator))
         run = run_queries(queries, index, rcfg, cfg.run_tag, prf=cfg.prf)
         return evaluate(run, qrels).map
 

@@ -3,7 +3,12 @@ flag overrides.
 
 Every key lives in exactly one section and keeps the same name in the file,
 on the command line (dashes for underscores), and on the dataclass, so a
-written effective config reloads to an identical object.
+written effective config reloads to an identical object. The typed settings
+(``rules.MedConfig``, ``morphgen.NoiseFilterConfig``,
+``retrieval.RetrievalConfig``) name their fields after these keys and take
+their defaults from here (``min_len`` through ``min_len_map``), as do the
+library keywords that carry a key's value, so this dataclass holds every
+default once.
 """
 
 from __future__ import annotations

@@ -6,18 +6,21 @@ ids and the terms as text, then int32 ``.npy`` arrays of counts (each
 document's length, each term's row count, each row's document and position
 count) and each row's token positions, described by one manifest that
 records the files' sizes and their sha256 fingerprint. One reader,
-``read_snapshot``, loads and checks every file with array operations, and
-both tables are built only from the ``Snapshot`` it returns, so one read
-serves both: ``collection_index`` gives an array index, term-major CSR
-postings and a doc-major forward slice with the document lengths and
-collection frequencies (a term frequency is a position count, documents
-are numbered by their line in ``doc_ids.txt`` and terms by theirs in
-``terms.txt``), and ``cooccurrence`` sliding w-token window counts for the
+``read_snapshot``, loads and checks every file with array operations into a
+``Snapshot``. Each table has one constructor, which takes that ``Snapshot``,
+so a command reads once and builds only the tables it uses:
+``CollectionIndex(snapshot)`` gives an array index, term-major CSR postings
+and a doc-major forward slice with the document lengths and collection
+frequencies (a term frequency is a position count, documents are numbered
+by their line in ``doc_ids.txt`` and terms by theirs in ``terms.txt``), and
+``CooccurrenceTable(snapshot, w)`` sliding w-token window counts for the
 window the reader asks for: a token at position p of an n-token document
 lies in the windows starting in [max(0, p - w + 1), min(p, max(n - w, 0))];
 the table counts each term's windows when it is built, and a query's pairs
-when asked. ``load_index`` and ``load_cooccurrence`` read a snapshot for one
-table.
+when asked. A command that needs only the vocabulary reads
+``Snapshot.terms`` and builds neither. ``load_index`` and
+``load_cooccurrence`` read a snapshot for one table; the benchmark calls
+them.
 """
 
 from __future__ import annotations
@@ -91,20 +94,22 @@ class CollectionIndex:
     ``lengths`` equals ``length_values[length_of]`` (the distinct lengths,
     ascending). ``postings`` and ``doc_len`` are read-only mapping views of
     these arrays, keyed by term and document id.
-    ``fingerprint`` identifies the snapshot the index was read from.
+    Built from a checked ``Snapshot``: its rows are the postings, and a term
+    frequency is the row's position count. ``fingerprint`` identifies the
+    snapshot.
     """
 
-    def __init__(self, doc_ids: list[str], lengths: Sequence[int], terms: list[str],
-                 term_ptr: Sequence[int], term_docs: Sequence[int],
-                 term_tfs: Sequence[int], fingerprint: str) -> None:
-        self.doc_ids, self.terms, self.fingerprint = doc_ids, terms, fingerprint
+    def __init__(self, snapshot: Snapshot) -> None:
+        doc_ids, terms = snapshot.doc_ids, snapshot.terms
+        self.doc_ids, self.terms = doc_ids, terms
+        self.fingerprint = snapshot.manifest["fingerprint"]
         self.doc_number = {doc_id: d for d, doc_id in enumerate(doc_ids)}
         self.term_id = {term: t for t, term in enumerate(terms)}
-        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.lengths = np.asarray(snapshot.lengths, dtype=np.int64)
         self.length_values, self.length_of = np.unique(self.lengths, return_inverse=True)
-        self.term_ptr = np.asarray(term_ptr, dtype=np.int64)
-        self.term_docs = np.asarray(term_docs, dtype=np.intc)
-        self.term_tfs = np.asarray(term_tfs, dtype=np.intc)
+        self.term_ptr = np.asarray(snapshot.term_ptr, dtype=np.int64)
+        self.term_docs = np.asarray(snapshot.row_docs, dtype=np.intc)
+        self.term_tfs = np.asarray(snapshot.tfs, dtype=np.intc)
         running = np.concatenate(([0], np.cumsum(self.term_tfs, dtype=np.int64)))
         self.term_cf = running[self.term_ptr[1:]] - running[self.term_ptr[:-1]]
         self.total_tokens = int(running[-1])
@@ -414,15 +419,15 @@ def save_index(documents: Iterable[tuple[str, list[str]]], directory: str | Path
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
-    """Read a snapshot's index; a term frequency is the term's position count."""
-    return read_snapshot(directory).collection_index()
+    """Read a snapshot for its index alone."""
+    return CollectionIndex(read_snapshot(directory))
 
 
 def load_cooccurrence(
     directory: str | Path, window_size: int = ExperimentConfig.context_window
 ) -> CooccurrenceTable:
-    """Read a snapshot's positions into a table of ``window_size``-token windows."""
-    return read_snapshot(directory).cooccurrence(window_size)
+    """Read a snapshot for its table of ``window_size``-token windows alone."""
+    return CooccurrenceTable(read_snapshot(directory), window_size)
 
 
 def _text_lines(items: Iterable[str]) -> bytes:
@@ -441,8 +446,9 @@ class Snapshot(NamedTuple):
     Term t's rows are ``term_ptr[t]:term_ptr[t + 1]``, row r's positions
     ``positions[row_ptr[r]:row_ptr[r + 1]]``, and document d's tokens
     ``doc_start[d]:doc_start[d + 1]`` of the collection's token stream; the
-    offsets are int64. Made only by ``read_snapshot``; one read builds both
-    tables.
+    offsets are int64. Made only by ``read_snapshot``; ``CollectionIndex``
+    and ``CooccurrenceTable`` are each built from one, so one read serves
+    both tables and any window.
     """
 
     manifest: dict
@@ -455,21 +461,6 @@ class Snapshot(NamedTuple):
     term_ptr: np.ndarray
     row_ptr: np.ndarray
     doc_start: np.ndarray
-
-    def collection_index(self) -> CollectionIndex:
-        """The array index; a term frequency is the term's position count."""
-        return CollectionIndex(self.doc_ids, self.lengths, self.terms, self.term_ptr,
-                               self.row_docs, self.tfs, self.manifest["fingerprint"])
-
-    def cooccurrence(
-        self, window_size: int = ExperimentConfig.context_window
-    ) -> CooccurrenceTable:
-        """The table of ``window_size``-token windows over these positions.
-
-        Every window count is derived from the lengths and positions, so one
-        snapshot serves any window.
-        """
-        return CooccurrenceTable(self, window_size)
 
 
 def read_snapshot(directory: str | Path) -> Snapshot:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import textfiles
+from .config import ExperimentConfig
 from .corpus import CollectionIndex, CooccurrenceTable
 from .morphgen import (
     FormationCandidate,
@@ -215,8 +216,8 @@ class ItdResult:
 def itd_weights(
     sets: Sequence[TranslationCandidateSet],
     assoc: AssociationModel,
-    max_iters: int = 50,
-    eps: float = 1e-6,
+    max_iters: int = ExperimentConfig.itd_max_iters,
+    eps: float = ExperimentConfig.itd_eps,
 ) -> ItdResult:
     """Iterate additive updates with per-term normalization to convergence.
 
@@ -312,7 +313,7 @@ def build_candidate_sets(
     terms: Sequence[str],
     dictionary: BilingualDictionary,
     *,
-    mode: str = "none",
+    mode: str = ExperimentConfig.mode,
     generator: FormationGenerator | None = None,
     cooc: CooccurrenceTable | None = None,
     stemmer: Callable[[str], str] | None = None,
@@ -376,8 +377,8 @@ def weight_candidate_sets(
     *,
     index: CollectionIndex | None = None,
     cooc: CooccurrenceTable | None = None,
-    itd_max_iters: int = 50,
-    itd_eps: float = 1e-6,
+    itd_max_iters: int = ExperimentConfig.itd_max_iters,
+    itd_eps: float = ExperimentConfig.itd_eps,
 ) -> list[TranslationCandidateSet]:
     if method in BASELINE_METHODS:
         return baseline_weights(sets, method, index)
@@ -396,15 +397,15 @@ def build_weighted_query(
     terms: Sequence[str],
     dictionary: BilingualDictionary,
     *,
-    mode: str = "none",
-    weighting: str = "unif",
+    mode: str = ExperimentConfig.mode,
+    weighting: str = ExperimentConfig.weighting,
     index: CollectionIndex | None = None,
     cooc: CooccurrenceTable | None = None,
     generator: FormationGenerator | None = None,
     stemmer: Callable[[str], str] | None = None,
-    ngram_n: int = 5,
-    itd_max_iters: int = 50,
-    itd_eps: float = 1e-6,
+    ngram_n: int = ExperimentConfig.ngram_n,
+    itd_max_iters: int = ExperimentConfig.itd_max_iters,
+    itd_eps: float = ExperimentConfig.itd_eps,
 ) -> WeightedQuery:
     """Translate one query into a weighted target-language distribution.
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import textfiles
+from .config import ExperimentConfig
 from .corpus import UNKNOWN_TAG, CooccurrenceTable
 from .rules import (
     BEGIN,
@@ -89,15 +90,14 @@ class NoiseFilterConfig:
 
     ``min_len`` maps the edit distance of a formation to the minimum surface
     length it must have; cheap transformations of short words are the main
-    source of coincidental matches.
+    source of coincidental matches. Each field is the config key of its
+    name, with its default (``min_len`` as ``min_len_map`` reads it).
     """
 
-    rule_prob_threshold: float = 1e-4
-    min_len: dict[int, int] = field(
-        default_factory=lambda: {1: 4, 2: 5, 3: 6}
-    )
-    context_window: int = 10
-    require_context: bool = True
+    rule_prob_threshold: float = ExperimentConfig.rule_prob_threshold
+    min_len: dict[int, int] = field(default_factory=lambda: ExperimentConfig().min_len_map())
+    context_window: int = ExperimentConfig.context_window
+    require_context: bool = ExperimentConfig.require_context
 
     def __post_init__(self) -> None:
         if self.rule_prob_threshold < 0:
@@ -136,7 +136,7 @@ class FormationGenerator:
     ) -> None:
         self.rules = rules
         self.cfg = cfg or NoiseFilterConfig()
-        self.med = med or MedConfig(k_max=rules.k_max or 3)
+        self.med = med or MedConfig(k_max=rules.k_max or ExperimentConfig.k_max)
         self.tagger = tagger or (lambda term: UNKNOWN_TAG)
         self._check_min_len()
         self.words = sorted(set(vocab))
@@ -198,7 +198,7 @@ def context_filter(
     return [c for c, keep in zip(candidates, linked.tolist()) if keep]
 
 
-def ngram_split(term: str, n: int = 5) -> list[str]:
+def ngram_split(term: str, n: int = ExperimentConfig.ngram_n) -> list[str]:
     """Distinct contiguous character n-grams in first-occurrence order.
 
     Terms shorter than ``n`` pass through unchanged.

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import textfiles
+from .config import ExperimentConfig
 from .corpus import CollectionIndex
 from .disambig import (
     PROV_FEEDBACK,
@@ -40,12 +41,14 @@ RECALL_LEVELS = tuple(i / 10 for i in range(11))
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    mu: float = 1000.0
-    top_k: int = 1000
-    prf_docs: int = 30
-    prf_terms: int = 50
-    prf_lambda: float = 0.5
-    prf_noise: float = 0.5
+    """Ranking and feedback settings; each field is the config key of its name."""
+
+    mu: float = ExperimentConfig.mu
+    top_k: int = ExperimentConfig.top_k
+    prf_docs: int = ExperimentConfig.prf_docs
+    prf_terms: int = ExperimentConfig.prf_terms
+    prf_lambda: float = ExperimentConfig.prf_lambda
+    prf_noise: float = ExperimentConfig.prf_noise
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
@@ -272,7 +275,7 @@ def run_queries(
     queries: Iterable[WeightedQuery],
     index: CollectionIndex,
     cfg: RetrievalConfig | None = None,
-    run_tag: str = "affixgen",
+    run_tag: str = ExperimentConfig.run_tag,
     prf: bool = False,
 ) -> RunFile:
     """Every ranking of ``rank_queries``, held in one run."""

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import textfiles
+from .config import ExperimentConfig
 from .corpus import UNKNOWN_TAG
 
 INSERT = "i"
@@ -69,10 +70,10 @@ class MedConfig:
     """Edit-distance settings: the largest distance ``k_max`` a rule may span.
 
     Insertions and deletions cost one each and substitutions are not
-    allowed; neither is configurable.
+    allowed; neither is configurable. ``k_max`` is the config key's.
     """
 
-    k_max: int = 3
+    k_max: int = ExperimentConfig.k_max
 
     def __post_init__(self) -> None:
         if self.k_max < 0:

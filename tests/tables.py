@@ -1,10 +1,11 @@
 """Tables for tests, built the one way the program builds them.
 
 Documents go through ``save_index`` into a temporary snapshot once, and the
-index and co-occurrence table are built from one ``read_snapshot`` of it, as
-the ``translate`` command builds them, or read back with ``load_index`` and
-``load_cooccurrence``, so every table a test checks is one the ``translate``
-and ``retrieve`` commands could have loaded. ``feedback_probs`` calls the
+index and co-occurrence table are built by their constructors from one
+``read_snapshot`` of it, as the commands build them, or read back with
+``load_index`` and ``load_cooccurrence``, so every table a test checks is one
+the ``translate``, ``retrieve`` and ``tune-thresholds`` commands could have
+built. ``feedback_probs`` calls the
 program's feedback model, which works on term ids, with a term to count
 dict.
 """
@@ -18,6 +19,8 @@ import numpy as np
 
 from affixgen.config import ExperimentConfig
 from affixgen.corpus import (
+    CollectionIndex,
+    CooccurrenceTable,
     Document,
     load_cooccurrence,
     load_index,
@@ -49,7 +52,7 @@ def tables(docs, window=ExperimentConfig.context_window):
     """The index and ``window``-token co-occurrence table of one snapshot of ``docs``."""
     with _snapshot(docs) as directory:
         snapshot = read_snapshot(directory)
-        return snapshot.collection_index(), snapshot.cooccurrence(window)
+        return CollectionIndex(snapshot), CooccurrenceTable(snapshot, window)
 
 
 def index_of(docs):

@@ -1,5 +1,6 @@
 """Configuration round trips and the command-line pipeline end to end."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -22,11 +23,16 @@ from affixgen.corpus import (
 )
 from affixgen.disambig import (
     BilingualDictionary,
+    build_candidate_sets,
     build_weighted_query,
+    itd_weights,
     load_weighted_queries,
     save_weighted_queries,
+    weight_candidate_sets,
 )
-from affixgen.retrieval import evaluate, load_qrels, load_run
+from affixgen.morphgen import FormationGenerator, NoiseFilterConfig, ngram_split
+from affixgen.retrieval import RetrievalConfig, evaluate, load_qrels, load_run, run_queries
+from affixgen.rules import MedConfig, RuleTable
 from affixgen.config import (
     SECTIONS,
     ExperimentConfig,
@@ -100,6 +106,28 @@ class TestConfig:
         assert cfg.min_len_map() == {1: 2, 2: 3}
         with pytest.raises(ValueError, match="min_len needs 3"):
             ExperimentConfig(min_len="4,5", k_max=3).min_len_map()
+
+    def test_each_setting_has_one_name_and_one_default(self):
+        # The typed settings and the library's keyword defaults read the
+        # config key of the same name, so the CLI and the library agree.
+        defaults = ExperimentConfig()
+        for kind in (MedConfig, NoiseFilterConfig, RetrievalConfig):
+            for f in fields(kind):
+                expected = (defaults.min_len_map() if f.name == "min_len"
+                            else getattr(defaults, f.name))
+                assert getattr(kind(), f.name) == expected, (kind.__name__, f.name)
+        renamed = {"max_iters": "itd_max_iters", "eps": "itd_eps", "n": "ngram_n"}
+        keys = set()
+        for function in (build_weighted_query, weight_candidate_sets, build_candidate_sets,
+                         itd_weights, ngram_split, run_queries):
+            for name, param in inspect.signature(function).parameters.items():
+                if param.default not in (inspect.Parameter.empty, None):
+                    key = renamed.get(name, name)
+                    assert param.default == getattr(defaults, key), (function.__name__, name)
+                    keys.add(key)
+        assert keys == {"mode", "weighting", "ngram_n", "itd_max_iters", "itd_eps", "run_tag",
+                        "prf"}
+        assert FormationGenerator([], RuleTable.empty(0)).med.k_max == defaults.k_max
 
 
 @pytest.fixture(scope="module")
@@ -401,8 +429,8 @@ class TestCliPipeline:
             raise AssertionError("co-occurrence table built")
 
         # Neither the weighting nor the context filter reads the table, and
-        # every path to one goes through Snapshot.cooccurrence.
-        monkeypatch.setattr(corpus.Snapshot, "cooccurrence", refuse)
+        # every path to one goes through its constructor.
+        monkeypatch.setattr(corpus, "CooccurrenceTable", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == report
         assert "mean_test_map" in report
@@ -438,22 +466,41 @@ class TestCliPipeline:
         assert len(builds) > 2
         assert "mean_test_map" in report
 
-    @pytest.mark.parametrize("command", ["translate", "tune-thresholds"])
+    @pytest.mark.parametrize("command", ["translate", "tune-thresholds", "mine-rules",
+                                         "generate", "retrieve"])
     def test_one_snapshot_read_builds_both_tables(self, pipeline, tmp_path, monkeypatch,
                                                   command):
-        # itd weighting and the ag context filter both need the co-occurrence table.
+        # itd weighting and the ag context filter both read the co-occurrence
+        # table; only retrieval reads the index, and mining and generation
+        # read the snapshot's terms alone.
+        built = {"translate": ["CooccurrenceTable"],
+                 "tune-thresholds": ["CollectionIndex", "CooccurrenceTable"],
+                 "retrieve": ["CollectionIndex"]}.get(command, [])
         reads, read = [], corpus.read_snapshot
         monkeypatch.setattr(corpus, "read_snapshot",
                             lambda directory: reads.append(directory) or read(directory))
-        argv = [command, "--dictionary", pipeline.paths["dictionary"],
-                "--topics", pipeline.paths["topics"], "--index-dir", pipeline.index_dir,
-                "--rules-file", pipeline.rules_file, "--mode", "ag", "--weighting", "itd"]
-        if command == "translate":
-            argv += ["--out", str(tmp_path / "q.tsv")]
-        else:
-            argv += ["--qrels", pipeline.paths["qrels"], "--tau-grid", "0.01", "--folds", "2"]
+        builds = []
+        for name in ("CollectionIndex", "CooccurrenceTable"):
+            monkeypatch.setattr(corpus, name, lambda *args, name=name, table=getattr(corpus, name):
+                                builds.append(name) or table(*args))
+        queries = tmp_path / "q.tsv"
+        queries.write_text(f"q1\t{pipeline.world.bases[0]}\t1.0\tdictionary\n",
+                           encoding="utf-8")
+        translating = ["--dictionary", pipeline.paths["dictionary"],
+                       "--topics", pipeline.paths["topics"], "--rules-file", pipeline.rules_file,
+                       "--mode", "ag", "--weighting", "itd"]
+        argv = [command, "--index-dir", pipeline.index_dir, *{
+            "translate": [*translating, "--out", str(tmp_path / "out.tsv")],
+            "tune-thresholds": [*translating, "--qrels", pipeline.paths["qrels"],
+                                "--tau-grid", "0.01", "--folds", "2"],
+            "mine-rules": ["--rules-file", str(tmp_path / "rules.tsv")],
+            "generate": ["--rules-file", pipeline.rules_file, "--terms", pipeline.world.bases[0],
+                         "--out", str(tmp_path / "out.tsv")],
+            "retrieve": ["--queries", str(queries), "--out", str(tmp_path / "out.tsv")],
+        }[command]]
         assert main(argv) == 0
         assert reads == [pipeline.index_dir]
+        assert sorted(builds) == built
 
     def test_monolingual_mode_skips_dictionary(self, pipeline, tmp_path):
         q = tmp_path / "q.tsv"
@@ -671,6 +718,11 @@ class TestCliErrors:
         ("[pipeline]\nprf = maybe\n", "[pipeline] prf: not a boolean: 'maybe'"),
         ("[noise]\nmin_len = 4,x,6\n",
          "[noise] min_len: not a comma-separated list of integers: '4,x,6'"),
+        ("[rules]\nk_max = -1\n", "[rules] k_max: k_max must be >= 0, got -1"),
+        ("[noise]\nmin_len = 4,-1,6\n", "[noise] min_len: invalid min_len entry 2: -1"),
+        ("[noise]\nrule_prob_threshold = -1\n",
+         "[noise] rule_prob_threshold: rule_prob_threshold must be >= 0"),
+        ("[retrieval]\ntop_k = 0\n", "[retrieval] top_k: top_k must be >= 1, got 0"),
     ])
     def test_a_bad_config_file_is_one_error_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "exp.ini"
@@ -685,6 +737,13 @@ class TestCliErrors:
         ("--k-max", "2.5", "--k-max: invalid literal for int()"),
         ("--mu", "lots", "--mu: could not convert string to float"),
         ("--min-len", "4,x,6", "--min-len: not a comma-separated list of integers: '4,x,6'"),
+        ("--k-max", "-1", "--k-max: k_max must be >= 0, got -1"),
+        ("--rule-prob-threshold", "-1",
+         "--rule-prob-threshold: rule_prob_threshold must be >= 0"),
+        ("--min-len", "4,-1,6", "--min-len: invalid min_len entry 2: -1"),
+        ("--mu", "0", "--mu: mu must be positive, got 0.0"),
+        ("--top-k", "0", "--top-k: top_k must be >= 1, got 0"),
+        ("--prf-lambda", "2", "--prf-lambda: prf_lambda must be in [0, 1], got 2.0"),
     ])
     def test_a_bad_flag_value_names_the_flag(self, tmp_path, capsys, flag, value, message):
         emitted = tmp_path / "e.ini"
@@ -725,6 +784,7 @@ class TestCliErrors:
         ("--min-len-grid", "4,5,6;4,x,6",
          "--min-len-grid: not a comma-separated list of integers: '4,x,6'"),
         ("--min-len-grid", "4,5,6;4,5", "--min-len-grid: min_len needs 3 entries"),
+        ("--tau-grid", "0.001,-1", "--tau-grid: rule_prob_threshold must be >= 0"),
     ])
     def test_a_bad_tuning_grid_entry_names_its_flag(self, pipeline, capsys, monkeypatch,
                                                     flag, value, message):
