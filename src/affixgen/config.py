@@ -63,13 +63,17 @@ class ExperimentConfig:
 
     def min_len_map(self) -> dict[int, int]:
         """Parse the comma-separated length floors into a distance map."""
-        values = _min_len_values(self.min_len)
-        if len(values) < self.k_max:
-            raise ValueError(
-                f"min_len needs {self.k_max} entries for k_max={self.k_max}, "
-                f"got {len(values)}"
-            )
-        return {k + 1: v for k, v in enumerate(values)}
+        floors = {k + 1: v for k, v in enumerate(_min_len_values(self.min_len))}
+        check_min_len(floors, self.k_max)
+        return floors
+
+
+def check_min_len(floors: dict[int, int], k_max: int) -> None:
+    """Refuse length floors that leave a distance from 1 to ``k_max`` without one."""
+    for k in range(1, k_max + 1):
+        if k not in floors:
+            raise ValueError(f"min_len needs {k_max} entries for k_max={k_max}, "
+                             f"none for distance {k}")
 
 
 def _min_len_values(text: str) -> list[int]:

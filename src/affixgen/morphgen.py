@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import textfiles
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_min_len
 from .corpus import UNKNOWN_TAG, CooccurrenceTable
 from .rules import (
     BEGIN,
@@ -113,7 +113,7 @@ class FormationGenerator:
     The vocabulary's ``CharSignatures`` is built once. The first
     ``generate`` call for a ``(word, POS tag)`` runs its ``neighbours``
     search, the one rule mining runs: one merge of the word's per-character
-    inverted lists plus one banded alignment and traceback per survivor.
+    inverted lists plus one LCS alignment and traceback per survivor.
     The tag is ``generate``'s ``pos_tag`` when given, else ``tagger(word)``;
     without a tagger every word is ``UNKNOWN_TAG``. The call stores the
     word's neighbour list, ``(surface, distance, rule, probability)`` for
@@ -138,7 +138,7 @@ class FormationGenerator:
         self.cfg = cfg or NoiseFilterConfig()
         self.med = med or MedConfig(k_max=rules.k_max or ExperimentConfig.k_max)
         self.tagger = tagger or (lambda term: UNKNOWN_TAG)
-        self._check_min_len()
+        check_min_len(self.cfg.min_len, self.med.k_max)
         self.words = sorted(set(vocab))
         self._signatures = CharSignatures(self.words)
         self._neighbours: dict[tuple[str, str], list[_Neighbour]] = {}
@@ -146,15 +146,10 @@ class FormationGenerator:
 
     def with_noise(self, cfg: NoiseFilterConfig) -> FormationGenerator:
         """This generator under ``cfg``, sharing its search and neighbour lists."""
+        check_min_len(cfg.min_len, self.med.k_max)
         variant = copy.copy(self)
         variant.cfg = cfg
-        variant._check_min_len()
         return variant
-
-    def _check_min_len(self) -> None:
-        for k in range(1, self.med.k_max + 1):
-            if k not in self.cfg.min_len:
-                raise ValueError(f"min_len missing an entry for distance {k}")
 
     def generate(self, w: str, pos_tag: str | None = None) -> list[FormationCandidate]:
         """Likelihood- and length-filtered formations of ``w`` from the vocabulary."""
@@ -173,7 +168,7 @@ class FormationGenerator:
     def _search(self, w: str, tag: str) -> list[_Neighbour]:
         """Every vocabulary word within ``k_max`` of ``w``, with its rule."""
         out = []
-        for surface, d, actions in self._signatures.neighbours(w, self.med.k_max):
+        for surface, d, actions, _ in self._signatures.neighbours(w, self.med.k_max):
             rule = TransformationRule(actions, tag)
             rule = self._interned.setdefault(rule, rule)
             out.append((surface, d, rule, self.rules.prob(rule)))

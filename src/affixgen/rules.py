@@ -6,15 +6,16 @@ deletions but no substitutions, together with the part-of-speech tag of the
 source word. Insertions and deletions cost one each, always, so this
 distance equals ``len(w) + len(w2) - 2 * lcs(w, w2)``.
 
-One banded alignment (Ukkonen's cutoff: only cells within ``k`` of the
-diagonal are filled) gives both the distance and, by tracing back over its
-rows, the rule. One character-count prefilter (``CharSignatures``) narrows
-the vocabulary to the words that can lie within ``k`` before any alignment
-runs; it reads per-character inverted lists, so a query costs the length
-of its characters' lists rather than vocabulary size times alphabet size.
-``CharSignatures.neighbours`` runs the prefilter, the band and the
-traceback together, and it is the one vocabulary search: rule mining and
-formation generation both call it.
+One bit-parallel LCS alignment (Allison & Dix, IPL 1986; Hyyrö, 2004),
+one Python int per prefix of the target word, gives both the distance and,
+by tracing back over its rows, the rule. The distance is symmetric, so the
+same rows give the reverse rule too. One character-count prefilter
+(``CharSignatures``) narrows the vocabulary to the words that can lie
+within ``k`` before any alignment runs; it reads per-character inverted
+lists, so a query costs the length of its characters' lists rather than
+vocabulary size times alphabet size. ``CharSignatures.neighbours`` runs
+the prefilter, the alignment and the traceback together, and it is the
+one vocabulary search: rule mining and formation generation both call it.
 
 Each action records its operation, the character involved, and a coarse
 position. Positions are judged in the alignment's left-to-right order:
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -80,72 +82,58 @@ class MedConfig:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
 
 
-def _band(w: str, w2: str, k: int) -> tuple[int, list[list[int]]] | None:
-    """Indel distance and alignment rows if the distance is at most ``k``.
+def _lcs_rows(w: str, w2: str) -> list[int]:
+    """Bit-parallel LCS rows of ``w`` against each prefix of ``w2``.
 
-    Row ``i`` holds cell ``(i, j)`` at index ``j - i + k``; only cells within
-    ``k`` of the diagonal are filled, and a cell whose distance exceeds ``k``
-    reads ``k + 1``. Every cell on an optimal path of cost ``d <= k`` is
-    therefore exact. The scan stops as soon as a whole row exceeds ``k``.
+    Row ``j`` holds one bit per character of ``w``: bit ``i`` is set when
+    ``lcs(w[:i + 1], w2[:j])`` exceeds ``lcs(w[:i], w2[:j])``, so
+    ``lcs(w[:i], w2[:j])`` is the popcount of the row's low ``i`` bits and
+    the pair's distance is ``len(w) + len(w2) - 2 * rows[-1].bit_count()``.
+    Each row is one step of Allison & Dix (IPL 1986) in Hyyrö's form (2004)
+    over ``w``'s per-character match masks: a few Python-int operations,
+    however long the words.
     """
-    n, m = len(w), len(w2)
-    if abs(n - m) > k:
-        return None
-    cap = k + 1
-    width = 2 * k + 1
-    prev = [cap] * width
-    for j in range(min(m, k) + 1):
-        prev[j + k] = j
-    rows = [prev]
-    for i in range(1, n + 1):
-        cur = [cap] * width
-        wc = w[i - 1]
-        lo = max(0, i - k)
-        hi = min(m, i + k)
-        row_min = cap
-        for j in range(lo, hi + 1):
-            d = j - i + k
-            if j == 0:
-                c = i if i < cap else cap
-            else:
-                c = prev[d + 1] + 1 if d + 1 < width else cap
-                if d >= 1 and cur[d - 1] + 1 < c:
-                    c = cur[d - 1] + 1
-                if wc == w2[j - 1] and prev[d] < c:
-                    c = prev[d]
-                if c > cap:
-                    c = cap
-            cur[d] = c
-            if c < row_min:
-                row_min = c
-        if row_min >= cap:
-            return None
-        rows.append(cur)
-        prev = cur
-    final = prev[m - n + k]
-    return (final, rows) if final <= k else None
+    masks: dict[str, int] = {}
+    for i, c in enumerate(w):
+        masks[c] = masks.get(c, 0) | 1 << i
+    v = -1  # the complement of a row; its bits from len(w) up stay set
+    rows = [0]
+    for c in w2:
+        u = v & masks.get(c, 0)
+        v = (v + u) | (v - u)
+        rows.append(~v)
+    return rows
 
 
-def _traceback(w: str, w2: str, rows: list[list[int]], k: int) -> tuple[Action, ...]:
-    """The canonical actions turning ``w`` into ``w2``, read off ``_band`` rows.
+def _traceback(w: str, w2: str, rows: list[int], transposed: bool = False
+               ) -> tuple[Action, ...]:
+    """The canonical actions turning ``w`` into ``w2``, read off LCS rows.
 
-    Walking back from the terminal cell, a match is preferred, then a
-    deletion from the source, then an insertion; a deletion from the band's
-    last diagonal (``j - i == k``) would leave the band and is never taken.
-    Each action's position is judged against ``w2[:j] + w[i:]``, the string
-    just before it in left-to-right order, and the actions are returned in
-    that order.
+    ``rows`` are ``_lcs_rows(w, w2)``, or ``_lcs_rows(w2, w)`` when
+    ``transposed``: the LCS is symmetric, so one set of rows serves a pair
+    in both directions. Cell ``(i, j)`` has distance
+    ``i + j - 2 * lcs(w[:i], w2[:j])``. Walking back from the terminal cell,
+    a match is preferred, then a deletion from the source, then an
+    insertion. A match is taken whenever the characters agree, since it
+    then never changes the distance, and a deletion when it costs exactly
+    one, that is when it keeps the LCS. Each action's position is judged
+    against ``w2[:j] + w[i:]``, the string just before it in left-to-right
+    order, and the actions are returned in that order.
     """
+    def lcs(i: int, j: int) -> int:
+        row, low = (rows[i], j) if transposed else (rows[j], i)
+        return (row & ((1 << low) - 1)).bit_count()
+
     n = len(w)
     actions: list[Action] = []
     i, j = n, len(w2)
+    common = lcs(i, j)
     while i > 0 or j > 0:
-        d = j - i + k
-        here = rows[i][d]
-        if i > 0 and j > 0 and w[i - 1] == w2[j - 1] and rows[i - 1][d] == here:
+        if i > 0 and j > 0 and w[i - 1] == w2[j - 1]:
             i -= 1
             j -= 1
-        elif i > 0 and d < 2 * k and rows[i - 1][d + 1] + 1 == here:
+            common -= 1
+        elif i > 0 and lcs(i - 1, j) == common:
             i -= 1
             pos = BEGIN if j == 0 else END if i == n - 1 else MIDDLE
             actions.append(Action(DELETE, pos, w[i]))
@@ -159,9 +147,7 @@ def _traceback(w: str, w2: str, rows: list[list[int]], k: int) -> tuple[Action, 
 
 def extract_rule(w: str, w2: str, pos_tag: str = UNKNOWN_TAG) -> TransformationRule:
     """Extract the canonical transformation rule turning ``w`` into ``w2``."""
-    k = len(w) + len(w2)
-    _, rows = _band(w, w2, k)
-    return TransformationRule(_traceback(w, w2, rows, k), pos_tag)
+    return TransformationRule(_traceback(w, w2, _lcs_rows(w, w2)), pos_tag)
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -209,23 +195,26 @@ class CharSignatures:
         excess = self._lens[start:] - 2 * overlap[start:]
         return np.nonzero(excess <= k - len(w))[0] + start
 
-    def neighbours(self, w: str, k: int, start: int = 0
-                   ) -> Iterator[tuple[str, int, tuple[Action, ...]]]:
-        """``(word, distance, actions)`` for each word within indel distance ``k``.
+    def neighbours(self, w: str, k: int, start: int = 0) -> Iterator[
+            tuple[str, int, tuple[Action, ...], Callable[[], tuple[Action, ...]]]]:
+        """``(word, distance, actions, reverse)`` for each word within indel distance ``k``.
 
         Words are taken from row ``start`` on, in row order, and ``w`` itself
-        is skipped. Each survivor of ``within`` gets one banded alignment;
-        the actions turning ``w`` into the word are traced back over its rows.
+        is skipped. Each survivor of ``within`` gets one set of LCS rows;
+        ``actions``, turning ``w`` into the word, are traced back over them,
+        and ``reverse()`` traces the actions turning the word into ``w`` over
+        the same rows.
         """
         words = self.words
         for row in self.within(w, k, start).tolist():
             other = words[row]
             if other == w:
                 continue
-            band = _band(w, other, k)
-            if band is not None:
-                d, rows = band
-                yield other, d, _traceback(w, other, rows, k)
+            rows = _lcs_rows(w, other)
+            d = len(w) + len(other) - 2 * rows[-1].bit_count()
+            if d <= k:
+                yield other, d, _traceback(w, other, rows), partial(
+                    _traceback, other, w, rows, True)
 
 
 @dataclass
@@ -281,10 +270,10 @@ def mine_rules(
     ``[1, k_max]`` contributes one count to its extracted rule (type
     frequency), tagged with its source word's POS by ``tagger`` (every
     word ``UNKNOWN_TAG`` without one). Each word's later partners, with
-    the distance and forward rule of each, come from
-    ``CharSignatures.neighbours``; the reverse rule is read off a second
-    band of that distance's width. Neither filter of the search can drop a
-    pair the exhaustive scan would keep.
+    both rules of each, come from ``CharSignatures.neighbours``, which
+    aligns each pair once and traces the reverse rule over the forward
+    rule's rows. Neither filter of the search can drop a pair the
+    exhaustive scan would keep.
     """
     config = config or MedConfig()
     words = sorted(set(vocab))
@@ -296,10 +285,9 @@ def mine_rules(
 
     signatures = CharSignatures(words)
     for row, a in enumerate(words[:-1]):
-        for b, d, actions in signatures.neighbours(a, k, start=row + 1):
+        for b, _, actions, reverse in signatures.neighbours(a, k, start=row + 1):
             counts[TransformationRule(actions, tagger(a))] += 1
-            _, back = _band(b, a, d)
-            counts[TransformationRule(_traceback(b, a, back, d), tagger(b))] += 1
+            counts[TransformationRule(reverse(), tagger(b))] += 1
 
     if not counts:
         return RuleTable.empty(k)

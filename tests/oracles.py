@@ -3,8 +3,8 @@
 Everything here is written directly from definitions, trading speed for
 obviousness, so the optimized library code has something honest to be
 checked against. One helper is not an oracle but an entry point into
-shipped code that the library does not export: ``indel_distance`` runs the
-banded kernel with an unbounded band. ``weights_per_term`` is the candidate
+shipped code that the library does not export: ``indel_distance`` reads the
+distance off the bit-parallel LCS rows, with no cut at any ``k``. ``weights_per_term`` is the candidate
 weighting as the library once computed it, term by term, kept so that the
 one-row weighting can be checked against it bit for bit.
 """
@@ -34,7 +34,7 @@ from affixgen.rules import (
     MIDDLE,
     Action,
     TransformationRule,
-    _band,
+    _lcs_rows,
     extract_rule,
 )
 
@@ -63,8 +63,8 @@ def indel_distance_lcs(a: str, b: str) -> int:
 
 
 def indel_distance(a: str, b: str) -> int:
-    """The shipped banded kernel with a band wide enough for any pair."""
-    return _band(a, b, len(a) + len(b))[0]
+    """The shipped bit-parallel LCS kernel, read at its last row."""
+    return len(a) + len(b) - 2 * _lcs_rows(a, b)[-1].bit_count()
 
 
 def _delete_pos(i: int, j: int, n: int) -> str:

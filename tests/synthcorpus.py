@@ -25,8 +25,9 @@ from affixgen.rules import (
     MIDDLE,
     Action,
     TransformationRule,
-    _band,
 )
+
+from oracles import indel_distance
 
 BASE_ALPHABET = "bcdfgj"
 MIN_SEPARATION = 8
@@ -74,10 +75,7 @@ def _well_separated_words(rng: random.Random, count: int, existing: list[str]) -
     while len(words) < count:
         length = rng.randint(11, 13)
         word = "".join(rng.choice(BASE_ALPHABET) for _ in range(length))
-        if any(
-            _band(word, other, MIN_SEPARATION - 1) is not None
-            for other in pool
-        ):
+        if any(indel_distance(word, other) <= MIN_SEPARATION - 1 for other in pool):
             continue
         words.append(word)
         pool.append(word)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from affixgen import rules as rules_mod
+from affixgen.config import ExperimentConfig
 from affixgen.disambig import BilingualDictionary, build_candidate_sets
 from affixgen.morphgen import (
     FormationCandidate,
@@ -99,12 +100,16 @@ class TestFormationGenerator:
         assert [c.surface for c in got] == ["cats"]
 
     def test_missing_min_len_entry_is_an_error(self):
+        # The message ExperimentConfig.min_len_map gives: one rule, held once.
         rules = RuleTable.empty(3)
-        with pytest.raises(ValueError, match="min_len"):
+        message = "min_len needs 3 entries for k_max=3, none for distance 3"
+        with pytest.raises(ValueError, match=message):
             FormationGenerator(
                 {"cat"}, rules, cfg=NoiseFilterConfig(min_len={1: 4, 2: 5})
             )
-        with pytest.raises(ValueError, match="min_len"):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(min_len="4,5").min_len_map()
+        with pytest.raises(ValueError, match=message):
             FormationGenerator({"cat"}, rules).with_noise(NoiseFilterConfig(min_len={1: 4, 2: 5}))
 
     def test_word_never_generates_itself(self):
@@ -184,25 +189,25 @@ class TestFormationGenerator:
         assert found > 0 and found_oov > 0
 
     def test_each_word_and_tag_is_searched_once(self, monkeypatch):
-        searches, bands = [], []
-        within, band = CharSignatures.within, rules_mod._band
+        searches, aligned = [], []
+        within, lcs_rows = CharSignatures.within, rules_mod._lcs_rows
         monkeypatch.setattr(CharSignatures, "within", lambda self, w, k, start:
                             searches.append(w) or within(self, w, k, start))
-        monkeypatch.setattr(rules_mod, "_band", lambda *a: bands.append(a) or band(*a))
+        monkeypatch.setattr(rules_mod, "_lcs_rows", lambda *a: aligned.append(a) or lcs_rows(*a))
         plural, plural_n = rule_of(("i", "e", "s")), rule_of(("i", "e", "s"), tag="N")
         rules = table_of([(plural, 1), (plural_n, 1)])
         cfg = NoiseFilterConfig(rule_prob_threshold=0.0, min_len={1: 1, 2: 1, 3: 1})
         gen = FormationGenerator({"cat", "cats", "dog", "dogs"}, rules, cfg=cfg)
         first = gen.generate("cat")
         assert [c.rule for c in first] == [plural]
-        assert (searches, len(bands)) == (["cat"], 1)
+        assert (searches, len(aligned)) == (["cat"], 1)
         assert gen.generate("cat") == first
-        assert (searches, len(bands)) == (["cat"], 1)
+        assert (searches, len(aligned)) == (["cat"], 1)
         # Another tag is another rule, so another search.
         tagged = gen.generate("cat", pos_tag="N")
         assert [c.rule for c in tagged] == [plural_n]
         assert gen.generate("cat", pos_tag="N") == tagged
-        assert (searches, len(bands)) == (["cat", "cat"], 2)
+        assert (searches, len(aligned)) == (["cat", "cat"], 2)
         assert FormationGenerator(set(), rules, cfg=cfg).generate("cat") == []
         assert len(searches) == 2
         # One rule object per distinct rule across the stored lists.

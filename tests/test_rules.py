@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from affixgen import rules as rules_mod
 from affixgen.morphgen import apply_rule
 from affixgen.rules import (
     Action,
@@ -13,7 +14,6 @@ from affixgen.rules import (
     MedConfig,
     RuleTable,
     TransformationRule,
-    _band,
     extract_rule,
     format_actions,
     load_rules,
@@ -76,17 +76,18 @@ class TestIndelDistance:
 
 class TestBandedDistance:
     def test_agrees_with_full_distance(self):
+        # The kernel's distance, and the search's cut at k: a pair within k
+        # is found at that distance, a pair beyond k is not found (nor is
+        # the word itself, which the search skips).
         rng = random.Random(99)
         for _ in range(500):
             a = random_word(rng, "abcde")
             b = random_word(rng, "abcde")
             d = indel_distance_lcs(a, b)
+            assert indel_distance(a, b) == d
             for k in range(0, 7):
-                band = _band(a, b, k)
-                if d <= k:
-                    assert band is not None and band[0] == d
-                else:
-                    assert band is None
+                found = [n[1] for n in CharSignatures([b]).neighbours(a, k)]
+                assert found == ([d] if d <= k and a != b else [])
 
 
 class TestCharSignatures:
@@ -183,7 +184,11 @@ class TestCharSignatures:
                 for k in range(4):
                     for start in range(len(words) + 1):
                         expected = [n for n in found[start:] if n[0] != w and n[1] <= k]
-                        assert list(sigs.neighbours(w, k, start)) == expected
+                        got = list(sigs.neighbours(w, k, start))
+                        assert [n[:3] for n in got] == expected
+                        # The reverse rule, traced over the same rows.
+                        assert [n[3]() for n in got] == [
+                            extract_rule(s, w).actions for s, _, _ in expected]
 
     def test_short_words_without_a_shared_character(self):
         # No overlap at all: only len(w) + len(s) <= k keeps a row.
@@ -252,6 +257,34 @@ class TestExtractRule:
                 b = random_word(rng, alphabet, 0, hi)
                 assert extract_rule(a, b).actions == canonical_action_list(a, b), (a, b)
 
+    def test_both_directions_match_the_oracle(self):
+        # Empty words, runs of one character, words longer than 64
+        # characters (a row spans several machine words) and non-ASCII
+        # letters. The reverse rule traced over the a -> b rows is b -> a's.
+        rng = random.Random(29)
+        cases = [("", ""), ("", "ab"), ("aaa", ""), ("aaaa", "aa"), ("abab", "baba")]
+        for alphabet, lo, hi, count in (("ab", 0, 6, 400), ("aaab", 0, 12, 400),
+                                        ("aäöüß", 0, 10, 400), ("ابپتثجچ", 0, 10, 400),
+                                        ("abcdefgh", 60, 140, 40), ("aab", 65, 130, 40)):
+            for _ in range(count):
+                a = random_word(rng, alphabet, lo, hi)
+                edits = list(a)
+                for _ in range(rng.randint(0, 4)):
+                    if edits and rng.random() < 0.5:
+                        del edits[rng.randrange(len(edits))]
+                    else:
+                        edits.insert(rng.randint(0, len(edits)), rng.choice(alphabet))
+                # A random partner and a near one, a few edits away.
+                cases += [(a, random_word(rng, alphabet, lo, hi)), (a, "".join(edits))]
+        for a, b in cases:
+            forward, backward = extract_rule(a, b).actions, extract_rule(b, a).actions
+            assert forward == canonical_action_list(a, b), (a, b)
+            assert backward == canonical_action_list(b, a), (a, b)
+            found = list(CharSignatures([b]).neighbours(a, len(a) + len(b)))
+            if a != b:
+                ((_, d, actions, reverse),) = found
+                assert (d, actions, reverse()) == (len(forward), forward, backward)
+
     def test_round_trip_random(self):
         rng = random.Random(6)
         for _ in range(600):
@@ -305,6 +338,28 @@ class TestMineRules:
         assert table.counts == dict(counts)
         assert table.probs == probs
         assert math.isclose(sum(table.probs.values()), 1.0, abs_tol=1e-9)
+
+    def test_one_alignment_per_candidate_pair(self, monkeypatch):
+        # One set of LCS rows for each pair the prefilter keeps, built from
+        # the earlier word; the reverse rule is traced over the same rows.
+        rng = random.Random(31)
+        words = sorted({random_word(rng, "abcd", 1, 7) for _ in range(120)})
+        counts, _ = mine_rules_bruteforce(words, lambda w: "UNK", 3)
+        kept, aligned = [], []
+        within, lcs_rows = CharSignatures.within, rules_mod._lcs_rows
+
+        def counting_within(self, w, k, start=0):
+            rows = within(self, w, k, start)
+            kept.extend((w, self.words[row]) for row in rows.tolist())
+            return rows
+
+        monkeypatch.setattr(CharSignatures, "within", counting_within)
+        monkeypatch.setattr(rules_mod, "_lcs_rows",
+                            lambda a, b: aligned.append((a, b)) or lcs_rows(a, b))
+        table = mine_rules(words)
+        assert table.counts == dict(counts)
+        assert aligned == kept
+        assert 0 < table.total_count // 2 < len(aligned)
 
     def test_order_independence(self):
         rng = random.Random(12)
